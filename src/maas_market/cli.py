@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", action="append",
                    choices=["buyer", "seller", "custom"])
     p.add_argument("--fixed-fare", type=int, action="append")
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_run)
 

@@ -8,8 +8,10 @@ activated links.
 
 Solving goes through an origin-aggregated reformulation (commodities that
 share an origin are merged, which is exact because link costs do not depend
-on the commodity) and recovers per-OD flows afterwards with the activations
-fixed.  Capacity duals come from the same fixed-activation LP.
+on the commodity).  With the activations fixed, one origin-aggregated flow
+LP over the operated links gives both the link flows, which a lexicographic
+walk per origin splits into per-OD flows, and the capacity duals, read from
+its capacity rows.  All three models share one node-arc incidence builder.
 """
 
 from __future__ import annotations
@@ -67,114 +69,92 @@ class PathFlowSolution:
         return [(p, z) for p, z in self.path_flows if p.group == od]
 
 
+def _flow_model(network: Network, links, balances, linking=None):
+    """Node-arc incidence model over ``links``, one flow block per commodity.
+
+    ``balances`` holds each commodity's net outflow per node; flow columns
+    come block by block in link order, each charged the link's travel cost.
+    Without ``linking`` each link's joint flow is bounded by its capacity.
+    With it, one activation column per link follows the flow columns,
+    charged the operating cost, and the joint flow is bounded by
+    ``linking[k] * y_k``.  Returns the LP and each link's joint row.
+    """
+    num_links = len(links)
+    num_flow = len(balances) * num_links
+    objective = [link.travel_cost for link in links] * len(balances)
+    if linking is not None:
+        objective += [link.operating_cost for link in links]
+    lp = LinearProgram(num_vars=len(objective), objective=objective)
+    incidence = {node: [] for node in network.nodes}  # (link index, +-1) in link order
+    for k, link in enumerate(links):
+        incidence[link.tail].append((k, 1.0))
+        incidence[link.head].append((k, -1.0))
+    for b, balance in enumerate(balances):
+        offset = b * num_links
+        for node in sorted(network.nodes):
+            lp.add_row([(offset + k, v) for k, v in incidence[node]], EQ,
+                       balance.get(node, 0.0))
+    joint_rows = []
+    for k, link in enumerate(links):
+        coeffs = [(k + offset, 1.0) for offset in range(0, num_flow, num_links)]
+        if linking is None:
+            joint_rows.append(lp.add_row(coeffs, LE, link.capacity))
+        else:
+            coeffs.append((num_flow + k, -linking[k]))
+            joint_rows.append(lp.add_row(coeffs, LE, 0.0))
+    return lp, joint_rows
+
+
+def _activation_milp(lp: LinearProgram, num_links: int) -> MixedIntegerProgram:
+    y_offset = lp.num_vars - num_links
+    return MixedIntegerProgram(lp=lp, binary_vars=frozenset(range(y_offset, lp.num_vars)))
+
+
 def build_mcnd(network: Network, demand: DemandTable) -> MixedIntegerProgram:
     """Literal per-commodity model: |A|*|S| flow variables plus |A| binaries."""
-    links = network.links
-    ods = demand.ods
-    num_links, num_ods = len(links), len(ods)
-    arc_index = {link.arc: k for k, link in enumerate(links)}
-
-    def xvar(s_idx, a_idx):
-        return s_idx * num_links + a_idx
-
-    y_offset = num_ods * num_links
-    lp = LinearProgram(num_vars=y_offset + num_links,
-                       objective=[0.0] * (y_offset + num_links))
-    for s_idx, entry in enumerate(demand.entries):
-        for a_idx, link in enumerate(links):
-            lp.objective[xvar(s_idx, a_idx)] = link.travel_cost
-    for a_idx, link in enumerate(links):
-        lp.objective[y_offset + a_idx] = link.operating_cost
-
-    for s_idx, entry in enumerate(demand.entries):
-        for node in sorted(network.nodes):
-            coeffs = []
-            for a_idx, link in enumerate(links):
-                if link.tail == node:
-                    coeffs.append((xvar(s_idx, a_idx), 1.0))
-                elif link.head == node:
-                    coeffs.append((xvar(s_idx, a_idx), -1.0))
-            rhs = entry.demand if node == entry.origin else (
-                -entry.demand if node == entry.destination else 0.0)
-            lp.add_row(coeffs, EQ, rhs)
-    for a_idx, link in enumerate(links):
-        coeffs = [(xvar(s_idx, a_idx), 1.0) for s_idx in range(num_ods)]
-        coeffs.append((y_offset + a_idx, -link.capacity))
-        lp.add_row(coeffs, LE, 0.0)
-    binaries = frozenset(range(y_offset, y_offset + num_links))
-    return MixedIntegerProgram(lp=lp, binary_vars=binaries)
+    balances = [{e.origin: e.demand, e.destination: -e.demand} for e in demand.entries]
+    lp, _ = _flow_model(network, network.links, balances,
+                        linking=[link.capacity for link in network.links])
+    return _activation_milp(lp, len(network.links))
 
 
-def _build_origin_aggregated(network: Network, demand: DemandTable):
-    """Commodities merged by origin; exact because costs are commodity-free."""
-    links = network.links
-    num_links = len(links)
-    origins = sorted({entry.origin for entry in demand.entries})
-    balance = {o: {} for o in origins}
+def _origin_balances(demand: DemandTable):
+    """Origins in order, and each origin's net outflow per node."""
+    balances = {}
     for entry in demand.entries:
-        balance[entry.origin][entry.origin] = \
-            balance[entry.origin].get(entry.origin, 0.0) + entry.demand
-        balance[entry.origin][entry.destination] = \
-            balance[entry.origin].get(entry.destination, 0.0) - entry.demand
-
-    def xvar(o_idx, a_idx):
-        return o_idx * num_links + a_idx
-
-    y_offset = len(origins) * num_links
-    lp = LinearProgram(num_vars=y_offset + num_links,
-                       objective=[0.0] * (y_offset + num_links))
-    for o_idx in range(len(origins)):
-        for a_idx, link in enumerate(links):
-            lp.objective[xvar(o_idx, a_idx)] = link.travel_cost
-    for a_idx, link in enumerate(links):
-        lp.objective[y_offset + a_idx] = link.operating_cost
-    for o_idx, origin in enumerate(origins):
-        for node in sorted(network.nodes):
-            coeffs = []
-            for a_idx, link in enumerate(links):
-                if link.tail == node:
-                    coeffs.append((xvar(o_idx, a_idx), 1.0))
-                elif link.head == node:
-                    coeffs.append((xvar(o_idx, a_idx), -1.0))
-            lp.add_row(coeffs, EQ, balance[origin].get(node, 0.0))
-    for a_idx, link in enumerate(links):
-        coeffs = [(xvar(o_idx, a_idx), 1.0) for o_idx in range(len(origins))]
-        coeffs.append((y_offset + a_idx, -link.capacity))
-        lp.add_row(coeffs, LE, 0.0)
-    binaries = frozenset(range(y_offset, y_offset + num_links))
-    return MixedIntegerProgram(lp=lp, binary_vars=binaries), y_offset
+        balance = balances.setdefault(entry.origin, {})
+        balance[entry.origin] = balance.get(entry.origin, 0.0) + entry.demand
+        balance[entry.destination] = balance.get(entry.destination, 0.0) - entry.demand
+    origins = sorted(balances)
+    return origins, [balances[o] for o in origins]
 
 
-def _fixed_activation_lp(network: Network, demand: DemandTable, activations):
-    """Per-OD flow LP over the operated subnetwork; capacity rows keep w."""
+def _build_origin_aggregated(network: Network, demand: DemandTable) -> MixedIntegerProgram:
+    """Commodities merged by origin; exact because costs are commodity-free.
+
+    A link never needs to carry more than the total demand, so its flow is
+    tied to its activation with the strong coefficient
+    ``min(capacity, total demand)``.  With a huge capacity the weak
+    ``capacity * y`` lets HiGHS accept a ``y`` of about 1e-6 as integral,
+    which then rounds to a closed link that carries flow.
+    """
+    _, balances = _origin_balances(demand)
+    total = demand.total_demand()
+    lp, _ = _flow_model(network, network.links, balances,
+                        linking=[min(link.capacity, total) for link in network.links])
+    return _activation_milp(lp, len(network.links))
+
+
+def flow_lp(network: Network, demand: DemandTable, activations):
+    """Origin-aggregated flow LP over the operated links, activations fixed.
+
+    Returns the LP, the operated links, the origins in block order and each
+    operated link's capacity row.
+    """
     links = [l for l in network.links if activations.get(l.arc, 0) >= 0.5]
-    ods = demand.ods
-    num_links = len(links)
-
-    def xvar(s_idx, a_idx):
-        return s_idx * num_links + a_idx
-
-    lp = LinearProgram(num_vars=num_links * len(ods),
-                       objective=[0.0] * (num_links * len(ods)))
-    for s_idx in range(len(ods)):
-        for a_idx, link in enumerate(links):
-            lp.objective[xvar(s_idx, a_idx)] = link.travel_cost
-    for s_idx, entry in enumerate(demand.entries):
-        for node in sorted(network.nodes):
-            coeffs = []
-            for a_idx, link in enumerate(links):
-                if link.tail == node:
-                    coeffs.append((xvar(s_idx, a_idx), 1.0))
-                elif link.head == node:
-                    coeffs.append((xvar(s_idx, a_idx), -1.0))
-            rhs = entry.demand if node == entry.origin else (
-                -entry.demand if node == entry.destination else 0.0)
-            lp.add_row(coeffs, EQ, rhs)
-    capacity_rows = []
-    for a_idx, link in enumerate(links):
-        coeffs = [(xvar(s_idx, a_idx), 1.0) for s_idx in range(len(ods))]
-        capacity_rows.append(lp.add_row(coeffs, LE, link.capacity))
-    return lp, links, capacity_rows
+    origins, balances = _origin_balances(demand)
+    lp, capacity_rows = _flow_model(network, links, balances)
+    return lp, links, origins, capacity_rows
 
 
 def _diagnose_infeasible(network: Network, demand: DemandTable):
@@ -221,18 +201,19 @@ def solve_matching(
         raise InfeasibleMatchingError(
             f"no path exists for OD pairs {no_path}", offending_ods=no_path)
 
-    mip, y_offset = _build_origin_aggregated(network, demand)
+    mip = _build_origin_aggregated(network, demand)
     result = solve_milp(mip, engine=engine, tolerances=tolerances,
                         node_limit=node_limit, time_limit=time_limit)
     if result.status == "infeasible":
         _diagnose_infeasible(network, demand)
     if result.status != "optimal":
         raise SolveNumericalError(f"matching solve ended with {result.status}")
+    y_offset = mip.lp.num_vars - len(network.links)
     activations = {link.arc: int(round(result.x[y_offset + a_idx]))
                    for a_idx, link in enumerate(network.links)}
     objective = result.objective
 
-    lp, links, _ = _fixed_activation_lp(network, demand, activations)
+    lp, links, origins, _ = flow_lp(network, demand, activations)
     sub = solve_lp(lp, tolerances)
     if sub.status != "optimal":
         raise SolveNumericalError(
@@ -243,15 +224,16 @@ def solve_matching(
     if abs(recomputed - objective) > tolerances.optimality * max(1.0, abs(objective)):
         raise SolveNumericalError(
             f"aggregated optimum {objective} and recovered flows {recomputed} disagree")
-    flows = {}
+    flows = {entry.od: {} for entry in demand.entries}
     num_links = len(links)
-    for s_idx, entry in enumerate(demand.entries):
-        per_od = {}
-        for a_idx, link in enumerate(links):
-            value = float(sub.x[s_idx * num_links + a_idx])
-            if value > FLOW_EPS:
-                per_od[link.arc] = value
-        flows[entry.od] = per_od
+    for o_idx, origin in enumerate(origins):
+        block = sub.x[o_idx * num_links:(o_idx + 1) * num_links]
+        residual = {link.arc: float(v) for link, v in zip(links, block) if v > FLOW_EPS}
+        unmet = {e.destination: e.demand for e in demand.entries if e.origin == origin}
+        for nodes, amount in _walk_paths(origin, unmet, residual, f"origin {origin}"):
+            per_od = flows[(origin, nodes[-1])]
+            for arc in _arcs(nodes):
+                per_od[arc] = per_od.get(arc, 0.0) + amount
     return MatchingSolution(flows=flows, activations=activations,
                             objective=float(recomputed))
 
@@ -269,7 +251,7 @@ def extract_duals(
     mu = {link.arc: 0.0 for link in network.links}
     if not demand.entries:
         return mu
-    lp, links, capacity_rows = _fixed_activation_lp(network, demand, activations)
+    lp, links, _, capacity_rows = flow_lp(network, demand, activations)
     result = solve_lp(lp, tolerances)
     if result.status != "optimal":
         raise SolveNumericalError(
@@ -288,36 +270,44 @@ def decompose_flows(
 ) -> PathFlowSolution:
     """Canonical path decomposition of the per-OD link flows.
 
-    Per commodity: cancel residual cycles as they are met, then repeatedly
-    walk from the origin taking the lexicographically smallest next node with
-    positive residual and extract the bottleneck amount.  Deterministic, so
-    reported path flows are reproducible despite their non-uniqueness.
+    Per commodity, the lexicographic walk of ``_walk_paths``; paths met more
+    than once are merged.  Deterministic, so reported path flows are
+    reproducible despite their non-uniqueness.
     """
     path_flows = []
     for entry in demand.entries:
         residual = {arc: v for arc, v in solution.flows.get(entry.od, {}).items()
                     if v > FLOW_EPS}
-        path_flows.extend(
-            (Path(group=entry.od, nodes=nodes), amount)
-            for nodes, amount in _decompose_commodity(entry, residual))
+        merged = {}
+        for nodes, amount in _walk_paths(entry.origin, {entry.destination: entry.demand},
+                                         residual, f"OD {entry.od}"):
+            merged[nodes] = merged.get(nodes, 0.0) + amount
+        path_flows.extend((Path(group=entry.od, nodes=nodes), amount)
+                          for nodes, amount in merged.items() if amount > FLOW_EPS)
     return PathFlowSolution(path_flows=path_flows, duals=dict(duals or {}))
 
 
-def _decompose_commodity(entry, residual):
-    origin, destination = entry.od
-    extracted = []
-    remaining = entry.demand
-    while remaining > FLOW_EPS:
-        walk = [origin]
-        position = {origin: 0}
-        node = origin
+def _walk_paths(source, unmet, residual, label):
+    """Split the flow leaving ``source`` into paths, lexicographically.
+
+    ``unmet`` maps each sink to the demand it still needs and ``residual``
+    maps arcs to flow; both are consumed.  Each walk leaves ``source`` along the
+    smallest next node with positive residual and stops at the first node
+    with unmet demand, where it delivers the bottleneck amount; a walk that
+    closes a cycle cancels the cycle and starts again.  Flow left over once
+    every sink is served is ignored.  Yields ``(nodes, amount)``.
+    """
+    while any(d > FLOW_EPS for d in unmet.values()):
+        walk = [source]
+        position = {source: 0}
+        node = source
         cycle = None
-        while node != destination:
-            nexts = sorted(h for (t, h) in residual if t == node)
+        while unmet.get(node, 0.0) <= FLOW_EPS:
+            nexts = [h for (t, h) in residual if t == node]
             if not nexts:
                 raise SolveNumericalError(
-                    f"flow for OD {entry.od} dead-ends at node {node}")
-            nxt = nexts[0]
+                    f"flow for {label} dead-ends at node {node}")
+            nxt = min(nexts)
             if nxt in position:
                 cycle = walk[position[nxt]:] + [nxt]
                 break
@@ -327,33 +317,10 @@ def _decompose_commodity(entry, residual):
         if cycle is not None:
             _subtract(residual, cycle, min(residual[a] for a in _arcs(cycle)))
             continue
-        amount = min(remaining, min(residual[a] for a in _arcs(walk)))
+        amount = min(unmet[node], min(residual[a] for a in _arcs(walk)))
         _subtract(residual, walk, amount)
-        extracted.append((tuple(walk), amount))
-        remaining -= amount
-    # anything left is a set of zero-net cycles; cancel them deterministically
-    while residual:
-        start = min(residual)[0]
-        walk = [start]
-        position = {start: 0}
-        node = start
-        while True:
-            nexts = sorted(h for (t, h) in residual if t == node)
-            if not nexts:
-                raise SolveNumericalError(
-                    f"residual flow for OD {entry.od} is not a union of cycles")
-            nxt = nexts[0]
-            if nxt in position:
-                cycle = walk[position[nxt]:] + [nxt]
-                break
-            walk.append(nxt)
-            position[nxt] = len(walk) - 1
-            node = nxt
-        _subtract(residual, cycle, min(residual[a] for a in _arcs(cycle)))
-    merged = {}
-    for nodes, amount in extracted:
-        merged[nodes] = merged.get(nodes, 0.0) + amount
-    return [(nodes, amt) for nodes, amt in merged.items() if amt > FLOW_EPS]
+        unmet[node] -= amount
+        yield tuple(walk), amount
 
 
 def _arcs(nodes):

@@ -21,11 +21,11 @@ BIG = 1e7
 
 
 def _still_routable(network: Network, demand: DemandTable) -> bool:
-    from .matching import _fixed_activation_lp
+    from .matching import flow_lp
     from .solve import solve_lp
 
     activations = {l.arc: 1 for l in network.links}
-    lp, _, _ = _fixed_activation_lp(network, demand, activations)
+    lp, _, _, _ = flow_lp(network, demand, activations)
     return solve_lp(lp).status == "optimal"
 
 

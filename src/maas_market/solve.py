@@ -42,7 +42,7 @@ def resolve_engine(engine: str | None = None) -> str:
 
 @dataclass(frozen=True)
 class Tolerances:
-    feasibility: float = 1e-6     # absolute, on constraint residuals
+    feasibility: float = 1e-6     # not passed on: HiGHS runs at its defaults
     optimality: float = 1e-6      # relative, LP strong duality
     mip_gap: float = 1e-6         # absolute, MILP incumbent-vs-bound
 
@@ -104,7 +104,6 @@ class SolveResult:
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None  # per row, d(obj)/d(rhs), LPs only
-    bound_duals: tuple[np.ndarray, np.ndarray] | None = None  # lower, upper
 
 
 def _to_scipy(lp: LinearProgram):
@@ -134,17 +133,18 @@ def _to_scipy(lp: LinearProgram):
 
 
 def solve_lp(lp: LinearProgram, tolerances: Tolerances = Tolerances()) -> SolveResult:
-    """Solve a pure LP to an optimal basic solution with row duals."""
+    """Solve a pure LP to an optimal basic solution with row duals.
+
+    HiGHS runs at its default feasibility tolerances; ``tolerances`` is taken
+    for a signature uniform with :func:`solve_milp`.
+    """
     if lp.num_vars == 0:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
     c, A_ub, b_ub, A_eq, b_eq, map_ub, map_eq, sign = _to_scipy(lp)
     res = linprog(
         c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=lp.effective_bounds(), method="highs",
-        options={"primal_feasibility_tolerance": min(1e-10, tolerances.feasibility),
-                 "dual_feasibility_tolerance": min(1e-10, tolerances.feasibility)},
-    )
+        bounds=lp.effective_bounds(), method="highs")
     if res.status == 2:
         return SolveResult(status="infeasible")
     if res.status == 3:
@@ -160,10 +160,8 @@ def solve_lp(lp: LinearProgram, tolerances: Tolerances = Tolerances()) -> SolveR
         marg = res.eqlin.marginals
         for r, k in enumerate(map_eq):
             duals[k] = sign * marg[r]
-    lower = sign * np.asarray(res.lower.marginals)
-    upper = sign * np.asarray(res.upper.marginals)
     return SolveResult(status="optimal", x=res.x, objective=sign * res.fun,
-                       duals=duals, bound_duals=(lower, upper))
+                       duals=duals)
 
 
 def solve_milp(

@@ -18,7 +18,7 @@ from maas_market import (Link, Network, ObjectivePolicy, OutcomeOptions,
                          generate_constraints_enumeration, lemma1_lower_bound,
                          lemma2_upper_bound, solve_matching, solve_outcome)
 from maas_market.fixtures import BUS_OPERATOR, RAIL_OPERATOR
-from maas_market.matching import _fixed_activation_lp
+from maas_market.matching import flow_lp
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import (coop_compete_network, random_coop_compete,
                                  random_instance, random_small_vs_large,
@@ -288,7 +288,7 @@ def sioux_falls():
         matching=matching, network=network)
     elapsed = time.perf_counter() - start
     return dict(network=network, demand=demand, matching=matching,
-                outcome=outcome, elapsed=elapsed)
+                system=system, outcome=outcome, elapsed=elapsed)
 
 
 def test_criterion4_objective(sioux_falls):
@@ -320,6 +320,16 @@ def test_criterion4_rail_fare(sioux_falls):
           and m.max_fare == pytest.approx(1.0, abs=1e-6))
     _gate("criterion 4: rail fixed fare avg=min=max=1.00", ok,
           f"avg={m.avg_fare:.6f}, min={m.min_fare:.6f}, max={m.max_fare:.6f}")
+
+
+def test_criterion4_buyer_vertex(sioux_falls):
+    buyer = solve_outcome(
+        build_outcome_lp(sioux_falls["system"],
+                         ObjectivePolicy(global_mode=BUYER_OPTIMAL)),
+        matching=sioux_falls["matching"], network=sioux_falls["network"])
+    _gate("criterion 4: the buyer-optimal vertex solves",
+          buyer.status == "optimal",
+          f"status {buyer.status}, objective {buyer.objective}")
 
 
 def test_criterion4_rail_ridership(sioux_falls):
@@ -565,8 +575,7 @@ def test_criterion6_invariants(corpus):
 
     def strong_duality(seed, network, demand, artifacts):
         matching = artifacts[0]
-        lp, _, _ = _fixed_activation_lp(network, demand,
-                                        matching.activations)
+        lp, _, _, _ = flow_lp(network, demand, matching.activations)
         res = solve_lp(lp)
         if res.status != "optimal":
             return res.status

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maas_market
 from maas_market import (LinearProgram, MixedIntegerProgram, solve_lp,
                          solve_milp)
 from maas_market.errors import ResourceLimitExceeded
@@ -168,3 +173,19 @@ def test_tolerances_configurable():
     tol = Tolerances(feasibility=1e-8, optimality=1e-7, mip_gap=1e-5)
     assert tol.as_dict() == {"feasibility": 1e-8, "optimality": 1e-7,
                              "mip_gap": 1e-5}
+
+
+def test_instance_3313_solves_in_a_fresh_process():
+    # at 1e-10 feasibility tolerances HiGHS corrupted the heap on this
+    # instance and aborted the process, so it runs apart from pytest
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(maas_market.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("from maas_market import solve_matching\n"
+            "from maas_market.randnet import random_instance\n"
+            "print(solve_matching(*random_instance(3313)).objective)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(318.074, abs=1e-3)
