@@ -27,13 +27,12 @@ import networkx as nx
 from . import fixtures as fixtures_mod
 from .closedform import (CoopCompeteInstance, SmallVsLargeInstance,
                          lemma1_lower_bound, lemma2_upper_bound)
-from .errors import MaasMarketError
+from .errors import MaasMarketError, PathCapExceeded
 from .matching import (decompose_flows, dump_commodity_flows, dump_link_flows,
                        dump_link_status, extract_duals, solve_matching)
 from .network import dump_demand, dump_network, load_demand, load_network
 from .outcomes import (BUYER_OPTIMAL, SELLER_OPTIMAL, ObjectivePolicy,
-                       OutcomeOptions, apply_subsidy_metrics, build_outcome_lp,
-                       report, solve_outcome)
+                       OutcomeOptions, build_outcome_lp, report, solve_outcome)
 from .randnet import random_instance
 from .scenario import PolicyAnnotations, apply_scenario, load_scenario
 from .solve import Tolerances
@@ -54,13 +53,11 @@ def _error_line(exc: MaasMarketError) -> str:
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(feasibility=args.feas_tol, optimality=args.opt_tol,
-                      mip_gap=args.mip_gap)
+    return Tolerances(optimality=args.opt_tol, mip_gap=args.mip_gap)
 
 
 def _add_common(parser):
     parser.add_argument("--engine", choices=["bundled", "external"], default=None)
-    parser.add_argument("--feas-tol", type=float, default=1e-6)
     parser.add_argument("--opt-tol", type=float, default=1e-6)
     parser.add_argument("--mip-gap", type=float, default=1e-6)
 
@@ -86,7 +83,7 @@ def run_pipeline(network, demand, annotations, engine=None,
     matching = solve_matching(network, demand, engine=engine,
                               tolerances=tolerances)
     timings["matching_msec"] = (time.perf_counter() - start) * 1000
-    duals = extract_duals(network, demand, matching.activations, tolerances)
+    duals = extract_duals(network, demand, matching.activations)
     decomposition = decompose_flows(network, demand, matching, duals)
     start = time.perf_counter()
     system = generate_constraints_algorithm1(
@@ -113,12 +110,8 @@ def run_pipeline(network, demand, annotations, engine=None,
         else:
             raise ValueError(f"unknown policy {name!r}")
         model = build_outcome_lp(system, policy, options)
-        outcome = solve_outcome(model, matching=matching, network=network,
-                                tolerances=tolerances)
-        if outcome.status == "optimal":
-            apply_subsidy_metrics(outcome, network, matching,
-                                  annotations.subsidies)
-        outcomes[name] = outcome
+        outcomes[name] = solve_outcome(model, matching=matching,
+                                       network=network)
     timings["outcomes_msec"] = (time.perf_counter() - start) * 1000
     return {
         "matching": matching,
@@ -222,36 +215,21 @@ def cmd_compare(args) -> int:
 
 
 def _bench_one(name, network, demand, annotations, args):
-    tolerances = _tolerances(args)
-    matching = solve_matching(network, demand, engine=args.engine,
-                              tolerances=tolerances)
-    duals = extract_duals(network, demand, matching.activations, tolerances)
-    decomposition = decompose_flows(network, demand, matching, duals)
-    record = {"instance": name}
-    start = time.perf_counter()
-    system1 = generate_constraints_algorithm1(
-        network, demand, matching, decomposition,
-        subsidies=annotations.subsidies)
-    record["lexicographic_msec"] = (time.perf_counter() - start) * 1000
-    record["lexicographic_rows"] = len(system1.stability_rows)
-    total_paths = 0
-    graph = nx.DiGraph([l.arc for l in network.links])
-    capped = False
-    for entry in demand.entries:
-        count = sum(1 for _ in nx.all_simple_paths(graph, entry.origin,
-                                                   entry.destination))
-        total_paths += count
-        if total_paths > args.enum_cap:
-            capped = True
-            break
+    result = run_pipeline(network, demand, annotations, engine=args.engine,
+                          tolerances=_tolerances(args), policies=())
+    system1 = result["system"]
+    record = {"instance": name,
+              "lexicographic_msec": result["timings"]["generation_msec"],
+              "lexicographic_rows": len(system1.stability_rows)}
     systems = {"lexicographic": system1}
-    if capped:
+    start = time.perf_counter()
+    try:
+        system2 = generate_constraints_enumeration(
+            network, demand, result["matching"], result["decomposition"],
+            subsidies=annotations.subsidies, path_cap=args.enum_cap)
+    except PathCapExceeded:
         record["enumeration"] = "capped"
     else:
-        start = time.perf_counter()
-        system2 = generate_constraints_enumeration(
-            network, demand, matching, decomposition,
-            subsidies=annotations.subsidies, path_cap=args.enum_cap)
         record["enumeration_msec"] = (time.perf_counter() - start) * 1000
         record["enumeration_rows"] = len(system2.stability_rows)
         systems["enumeration"] = system2
@@ -260,8 +238,7 @@ def _bench_one(name, network, demand, annotations, args):
         for sys_name, system in systems.items():
             model = build_outcome_lp(system, ObjectivePolicy(global_mode=mode))
             start = time.perf_counter()
-            outcome = solve_outcome(model, tie_break=False,
-                                    tolerances=tolerances)
+            outcome = solve_outcome(model, tie_break=False)
             record[f"{label}_{sys_name}_solve_msec"] = \
                 (time.perf_counter() - start) * 1000
             values[sys_name] = (outcome.objective
@@ -335,10 +312,9 @@ def cmd_lemma2(args) -> int:
 def cmd_enumerate_paths(args) -> int:
     network = load_network(args.network)
     demand = load_demand(args.demand)
-    tolerances = _tolerances(args)
     matching = solve_matching(network, demand, engine=args.engine,
-                              tolerances=tolerances)
-    duals = extract_duals(network, demand, matching.activations, tolerances)
+                              tolerances=_tolerances(args))
+    duals = extract_duals(network, demand, matching.activations)
     graph = nx.DiGraph([l.arc for l in network.links])
     writer = sys.stdout
     writer.write("origin,destination,path,travel_cost,deviation_cost\n")
@@ -393,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0,
                    help="also bench this many seeded random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enum-cap", type=int, default=20000)
+    p.add_argument("--enum-cap", type=int, default=20000,
+                   help="simple paths per OD before enumeration is reported "
+                        "as capped")
     p.add_argument("--fixed-fare", type=int, action="append")
     _add_common(p)
     p.set_defaults(func=cmd_bench)

@@ -40,10 +40,9 @@ class Path:
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.nodes[:-1], self.nodes[1:]))
 
-    def operators(self, network: Network, include_dummy: bool = False) -> frozenset[int]:
+    def operators(self, network: Network) -> frozenset[int]:
         owners = {network.by_arc[a].owner for a in self.arcs}
-        if not include_dummy:
-            owners.discard(DUMMY_OPERATOR)
+        owners.discard(DUMMY_OPERATOR)
         return frozenset(owners)
 
     def travel_cost(self, network: Network) -> float:
@@ -192,15 +191,6 @@ def solve_matching(
     if not demand.entries:
         return MatchingSolution(flows={}, activations={l.arc: 0 for l in network.links},
                                 objective=0.0)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(network.nodes)
-    graph.add_edges_from(l.arc for l in network.links)
-    no_path = [e.od for e in demand.entries
-               if not nx.has_path(graph, e.origin, e.destination)]
-    if no_path:
-        raise InfeasibleMatchingError(
-            f"no path exists for OD pairs {no_path}", offending_ods=no_path)
-
     mip = _build_origin_aggregated(network, demand)
     result = solve_milp(mip, engine=engine, tolerances=tolerances,
                         node_limit=node_limit, time_limit=time_limit)
@@ -214,7 +204,7 @@ def solve_matching(
     objective = result.objective
 
     lp, links, origins, _ = flow_lp(network, demand, activations)
-    sub = solve_lp(lp, tolerances)
+    sub = solve_lp(lp)
     if sub.status != "optimal":
         raise SolveNumericalError(
             f"flow recovery LP ended with {sub.status} for fixed activations")
@@ -242,7 +232,6 @@ def extract_duals(
     network: Network,
     demand: DemandTable,
     activations: dict,
-    tolerances: Tolerances = Tolerances(),
 ) -> dict:
     """Capacity duals of the flow LP with activations held fixed.
 
@@ -252,7 +241,7 @@ def extract_duals(
     if not demand.entries:
         return mu
     lp, links, _, capacity_rows = flow_lp(network, demand, activations)
-    result = solve_lp(lp, tolerances)
+    result = solve_lp(lp)
     if result.status != "optimal":
         raise SolveNumericalError(
             f"dual-extraction LP ended with {result.status}: activations inconsistent")

@@ -10,11 +10,11 @@ when the vertex is degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import SolveNumericalError
 from .matching import MatchingSolution
-from .solve import EQ, GE, LinearProgram, Tolerances, solve_lp
+from .solve import EQ, GE, LinearProgram, solve_lp
 from .stability import ConstraintSystem
 
 REVENUE_MAX = "revenue_max"
@@ -44,7 +44,7 @@ class ObjectivePolicy:
 @dataclass(frozen=True)
 class OutcomeOptions:
     fixed_fare_operators: frozenset[int] = frozenset()
-    subsidies: dict = field(default_factory=dict)  # arc -> gamma (informational)
+    subsidies: dict = field(default_factory=dict)  # arc -> gamma
 
 
 @dataclass
@@ -54,6 +54,8 @@ class OutcomeModel:
     u_index: dict          # od -> column
     p_index: dict          # (od, nodes, f) -> column
     objective_label: str
+    options: OutcomeOptions
+    flows: dict            # (od, nodes) -> z
 
 
 @dataclass
@@ -92,11 +94,8 @@ def build_outcome_lp(
     p_index = {key: len(u_index) + i for i, key in enumerate(p_vars)}
     n = len(u_index) + len(p_index)
     lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True)
-
-    flows = {}
-    for f, (terms, _) in system.covers.items():
-        for od, nodes, z in terms:
-            flows[(od, nodes)] = z
+    flows = {(od, nodes): z for terms, _ in system.covers.values()
+             for od, nodes, z in terms}
 
     # surplus equalities: u_s + sum_f p_rf = U_s - travel cost, per optimal path
     for od in sorted(system.groups):
@@ -127,7 +126,8 @@ def build_outcome_lp(
     objective, label = _objective_vector(system, policy, u_index, p_index, flows)
     lp.objective = objective
     return OutcomeModel(lp=lp, system=system, u_index=u_index,
-                        p_index=p_index, objective_label=label)
+                        p_index=p_index, objective_label=label,
+                        options=options, flows=flows)
 
 
 def _objective_vector(system, policy, u_index, p_index, flows):
@@ -161,24 +161,27 @@ def _objective_vector(system, policy, u_index, p_index, flows):
 
 
 def check_core_nonempty(system: ConstraintSystem,
-                        options: OutcomeOptions = OutcomeOptions(),
-                        tolerances: Tolerances = Tolerances()) -> bool:
+                        options: OutcomeOptions = OutcomeOptions()) -> bool:
     """Phase-1 feasibility of the full feasibility+stability system."""
     policy = ObjectivePolicy(global_mode=BUYER_OPTIMAL)
     model = build_outcome_lp(system, policy, options)
     model.lp.objective = [0.0] * model.lp.num_vars
-    return solve_lp(model.lp, tolerances).status == "optimal"
+    return solve_lp(model.lp).status == "optimal"
 
 
 def solve_outcome(
     model: OutcomeModel,
     matching: MatchingSolution | None = None,
     network=None,
-    tolerances: Tolerances = Tolerances(),
     tie_break: bool = True,
 ) -> StableOutcome:
-    """Solve one vertex of the stable-outcome polytope with derived metrics."""
-    result = solve_lp(model.lp, tolerances)
+    """Solve one vertex of the stable-outcome polytope with derived metrics.
+
+    Operating cost and subsidy income count each operated link of an
+    operator, so they need ``matching`` and ``network``; without them both
+    are zero.
+    """
+    result = solve_lp(model.lp)
     if result.status == "infeasible":
         return StableOutcome(status="empty_core",
                              objective_label=model.objective_label)
@@ -188,46 +191,36 @@ def solve_outcome(
     objective = result.objective
     x = result.x
     if tie_break:
-        x = _lexicographic_revenue_tiebreak(model, objective, tolerances)
+        x = _lexicographic_revenue_tiebreak(model, objective, x)
     return _assemble_outcome(model, objective, x, matching, network)
 
 
-def _lexicographic_revenue_tiebreak(model, primary_value, tolerances):
+def _lexicographic_revenue_tiebreak(model, primary_value, x):
     """Pin the primary objective, then maximize each operator's revenue in
-    ascending id order, pinning each optimum before moving on."""
+    ascending id order, pinning each optimum before moving on.
+
+    ``x`` is the primary solution, returned as is when no operator earns
+    revenue.  The pins go on a copy of the rows, so ``model`` is unchanged.
+    """
     lp = model.lp
-    flows = {}
-    for f, (terms, _) in model.system.covers.items():
-        for od, nodes, z in terms:
-            flows[(od, nodes)] = z
-    pinned_rows = []
+    stage = replace(lp, rows=list(lp.rows))
     primary = [(i, v) for i, v in enumerate(lp.objective) if v != 0]
-    pinned_rows.append(lp.add_row(primary, EQ, primary_value))
-    x = None
-    try:
-        for f in sorted(model.system.covers):
-            coeffs = [(col, flows.get((od, nodes), 0.0))
-                      for (od, nodes, g), col in model.p_index.items() if g == f]
-            coeffs = [(c, v) for c, v in coeffs if v != 0]
-            if not coeffs:
-                continue
-            stage = LinearProgram(num_vars=lp.num_vars,
-                                  objective=[0.0] * lp.num_vars,
-                                  maximize=True, rows=lp.rows,
-                                  bounds=lp.bounds)
-            for c, v in coeffs:
-                stage.objective[c] = v
-            result = solve_lp(stage, tolerances)
-            if result.status != "optimal":
-                raise SolveNumericalError(
-                    f"revenue tie-break stage for operator {f}: {result.status}")
-            x = result.x
-            pinned_rows.append(lp.add_row(coeffs, EQ, result.objective))
-    finally:
-        for _ in pinned_rows:
-            lp.rows.pop()
-    if x is None:
-        x = solve_lp(lp, tolerances).x
+    stage.add_row(primary, EQ, primary_value)
+    for f in sorted(model.system.covers):
+        coeffs = [(col, model.flows.get((od, nodes), 0.0))
+                  for (od, nodes, g), col in model.p_index.items() if g == f]
+        coeffs = [(c, v) for c, v in coeffs if v != 0]
+        if not coeffs:
+            continue
+        stage.objective = [0.0] * lp.num_vars
+        for c, v in coeffs:
+            stage.objective[c] = v
+        result = solve_lp(stage)
+        if result.status != "optimal":
+            raise SolveNumericalError(
+                f"revenue tie-break stage for operator {f}: {result.status}")
+        x = result.x
+        stage.add_row(coeffs, EQ, result.objective)
     return x
 
 
@@ -235,10 +228,8 @@ def _assemble_outcome(model, objective, x, matching, network):
     system = model.system
     surplus = {od: max(0.0, float(x[col])) for od, col in model.u_index.items()}
     prices = {key: max(0.0, float(x[col])) for key, col in model.p_index.items()}
-    flows = {}
-    for f, (terms, _) in system.covers.items():
-        for od, nodes, z in terms:
-            flows[(od, nodes)] = z
+    flows = model.flows
+    subsidies = model.options.subsidies
 
     operators = {}
     all_ops = sorted({f for (_, _, f) in prices} | set(system.covers))
@@ -258,6 +249,7 @@ def _assemble_outcome(model, objective, x, matching, network):
             for link in network.operator_links(f):
                 if matching.activations.get(link.arc, 0) >= 0.5:
                     cost += link.operating_cost
+                    subsidy += subsidies.get(link.arc, 0.0)
         operators[f] = OperatorMetrics(
             operator=f, revenue=revenue, operating_cost=cost, subsidy=subsidy,
             profit=revenue - cost + subsidy, ridership=ridership,
@@ -278,17 +270,6 @@ def _assemble_outcome(model, objective, x, matching, network):
         consumer_surplus=consumer_surplus,
         avg_services_per_traveler=(weighted_services / total_demand
                                    if total_demand > 0 else 0.0))
-
-
-def apply_subsidy_metrics(outcome: StableOutcome, network, matching,
-                          subsidies: dict) -> None:
-    """Fill per-operator subsidy income and refresh profit figures."""
-    for f, metrics in outcome.operators.items():
-        subsidy = sum(subsidies.get(link.arc, 0.0)
-                      for link in network.operator_links(f)
-                      if matching.activations.get(link.arc, 0) >= 0.5)
-        metrics.subsidy = subsidy
-        metrics.profit = metrics.revenue - metrics.operating_cost + subsidy
 
 
 def report(outcome: StableOutcome, matching: MatchingSolution | None = None,

@@ -42,16 +42,8 @@ def resolve_engine(engine: str | None = None) -> str:
 
 @dataclass(frozen=True)
 class Tolerances:
-    feasibility: float = 1e-6     # not passed on: HiGHS runs at its defaults
     optimality: float = 1e-6      # relative, LP strong duality
     mip_gap: float = 1e-6         # absolute, MILP incumbent-vs-bound
-
-    def as_dict(self):
-        return {
-            "feasibility": self.feasibility,
-            "optimality": self.optimality,
-            "mip_gap": self.mip_gap,
-        }
 
 
 @dataclass
@@ -132,12 +124,8 @@ def _to_scipy(lp: LinearProgram):
         (np.array(b_eq) if b_eq else None), map_ub, map_eq, sign
 
 
-def solve_lp(lp: LinearProgram, tolerances: Tolerances = Tolerances()) -> SolveResult:
-    """Solve a pure LP to an optimal basic solution with row duals.
-
-    HiGHS runs at its default feasibility tolerances; ``tolerances`` is taken
-    for a signature uniform with :func:`solve_milp`.
-    """
+def solve_lp(lp: LinearProgram) -> SolveResult:
+    """Solve a pure LP to an optimal basic solution with row duals."""
     if lp.num_vars == 0:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
@@ -173,13 +161,13 @@ def solve_milp(
 ) -> SolveResult:
     """Solve a MILP to proven optimality within the absolute gap tolerance."""
     if not mip.binary_vars:
-        return solve_lp(mip.lp, tolerances)
+        return solve_lp(mip.lp)
     if resolve_engine(engine) == "external":
-        return _solve_milp_external(mip, tolerances, time_limit)
+        return _solve_milp_external(mip, time_limit)
     return _solve_milp_bundled(mip, tolerances, node_limit, time_limit)
 
 
-def _solve_milp_external(mip, tolerances, time_limit):
+def _solve_milp_external(mip, time_limit):
     lp = mip.lp
     c, A_ub, b_ub, A_eq, b_eq, _, _, sign = _to_scipy(lp)
     constraints = []
@@ -237,7 +225,7 @@ def _solve_milp_bundled(mip, tolerances, node_limit, time_limit):
                 lo = hi = float(fixings[i])
             bounds[i] = (lo, hi)
         relaxed = replace(lp, bounds=bounds)
-        return solve_lp(relaxed, tolerances)
+        return solve_lp(relaxed)
 
     start = time.monotonic()
     counter = 0

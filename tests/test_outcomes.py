@@ -60,6 +60,32 @@ def test_fig5_seller_vertex(fig5_instance, fig5_pipeline):
     assert p2c == pytest.approx(1.0, abs=1e-6)
 
 
+def test_fig5_seller_subsidy_income(fig5_instance):
+    # half of link (1,3)'s operating cost of 200 is subsidised
+    network, demand = fig5_instance
+    subsidies = {(1, 3): 100.0}
+    matching, _, _, system = pipeline_artifacts(network, demand,
+                                                subsidies=subsidies)
+    out = _vertex(system, SELLER_OPTIMAL, OutcomeOptions(subsidies=subsidies),
+                  matching=matching, network=network)
+    m = out.operators[1]
+    assert m.subsidy == pytest.approx(100.0, abs=1e-6)
+    assert m.profit == pytest.approx(15300.0, abs=1e-6)
+    assert m.profit == pytest.approx(m.revenue - m.operating_cost + m.subsidy)
+    assert out.operators[4].subsidy == 0.0
+
+
+def test_solve_outcome_leaves_model_unchanged(fig5_pipeline):
+    system = fig5_pipeline[3]
+    model = build_outcome_lp(system, ObjectivePolicy(global_mode=SELLER_OPTIMAL))
+    rows = len(model.lp.rows)
+    first = solve_outcome(model)
+    assert len(model.lp.rows) == rows
+    second = solve_outcome(model)
+    assert len(model.lp.rows) == rows
+    assert second.prices == first.prices
+
+
 def test_buyer_seller_ordering(fig5_pipeline):
     system = fig5_pipeline[3]
     buyer = _vertex(system, BUYER_OPTIMAL)

@@ -12,8 +12,7 @@ import maas_market
 from maas_market import (LinearProgram, MixedIntegerProgram, solve_lp,
                          solve_milp)
 from maas_market.errors import ResourceLimitExceeded
-from maas_market.solve import (EQ, GE, LE, Tolerances, resolve_engine,
-                               write_lp_file)
+from maas_market.solve import EQ, GE, LE, resolve_engine, write_lp_file
 
 
 def test_trivial_lp_with_dual():
@@ -167,12 +166,6 @@ def test_lp_file_emission(tmp_path):
     assert text.startswith("Maximize")
     assert "Binary" in text and "x1" in text
     assert "e" not in text.split("\n")[1]  # fixed-point decimals only
-
-
-def test_tolerances_configurable():
-    tol = Tolerances(feasibility=1e-8, optimality=1e-7, mip_gap=1e-5)
-    assert tol.as_dict() == {"feasibility": 1e-8, "optimality": 1e-7,
-                             "mip_gap": 1e-5}
 
 
 def test_instance_3313_solves_in_a_fresh_process():
