@@ -22,27 +22,24 @@ import sys
 import time
 from pathlib import Path as FilePath
 
-import networkx as nx
-
 from . import fixtures as fixtures_mod
 from .closedform import (CoopCompeteInstance, SmallVsLargeInstance,
                          lemma1_lower_bound, lemma2_upper_bound)
 from .errors import MaasMarketError, PathCapExceeded
-from .matching import (decompose_flows, dump_commodity_flows, dump_link_flows,
-                       dump_link_status, extract_duals, solve_matching)
+from .matching import (Path, decompose_flows, dump_commodity_flows,
+                       dump_link_flows, dump_link_status, extract_duals,
+                       solve_matching)
 from .network import dump_demand, dump_network, load_demand, load_network
 from .outcomes import (BUYER_OPTIMAL, SELLER_OPTIMAL, ObjectivePolicy,
                        OutcomeOptions, build_outcome_lp, report, solve_outcome)
 from .randnet import random_instance
 from .scenario import PolicyAnnotations, apply_scenario, load_scenario
 from .solve import Tolerances
-from .stability import (generate_constraints_algorithm1,
-                        generate_constraints_enumeration, omega)
+from .stability import (_omega_graph, generate_constraints_algorithm1,
+                        generate_constraints_enumeration, omega, simple_paths)
 
 EXIT_OK = 0
-EXIT_INFEASIBLE = 2
 EXIT_EMPTY_CORE = 3
-EXIT_RESOURCE = 4
 
 
 def _error_line(exc: MaasMarketError) -> str:
@@ -74,6 +71,12 @@ def _load_inputs(args):
     return network, demand, annotations
 
 
+def _outcome_options(annotations) -> OutcomeOptions:
+    return OutcomeOptions(
+        fixed_fare_operators=frozenset(annotations.fixed_fare_operators),
+        subsidies=dict(annotations.subsidies))
+
+
 def run_pipeline(network, demand, annotations, engine=None,
                  tolerances=Tolerances(), policies=("buyer", "seller")):
     """Matching, duals, decomposition, constraint generation, and one
@@ -90,9 +93,7 @@ def run_pipeline(network, demand, annotations, engine=None,
         network, demand, matching, decomposition,
         subsidies=annotations.subsidies)
     timings["generation_msec"] = (time.perf_counter() - start) * 1000
-    options = OutcomeOptions(
-        fixed_fare_operators=frozenset(annotations.fixed_fare_operators),
-        subsidies=dict(annotations.subsidies))
+    options = _outcome_options(annotations)
     outcomes = {}
     start = time.perf_counter()
     for name in policies:
@@ -233,10 +234,12 @@ def _bench_one(name, network, demand, annotations, args):
         record["enumeration_msec"] = (time.perf_counter() - start) * 1000
         record["enumeration_rows"] = len(system2.stability_rows)
         systems["enumeration"] = system2
+    options = _outcome_options(annotations)
     for mode, label in ((BUYER_OPTIMAL, "buyer"), (SELLER_OPTIMAL, "seller")):
         values = {}
         for sys_name, system in systems.items():
-            model = build_outcome_lp(system, ObjectivePolicy(global_mode=mode))
+            model = build_outcome_lp(system, ObjectivePolicy(global_mode=mode),
+                                     options)
             start = time.perf_counter()
             outcome = solve_outcome(model, tie_break=False)
             record[f"{label}_{sys_name}_solve_msec"] = \
@@ -315,24 +318,15 @@ def cmd_enumerate_paths(args) -> int:
     matching = solve_matching(network, demand, engine=args.engine,
                               tolerances=_tolerances(args))
     duals = extract_duals(network, demand, matching.activations)
-    graph = nx.DiGraph([l.arc for l in network.links])
-    writer = sys.stdout
-    writer.write("origin,destination,path,travel_cost,deviation_cost\n")
+    graph = _omega_graph(network, duals, matching.activations)
+    sys.stdout.write("origin,destination,path,travel_cost,deviation_cost\n")
     for entry in demand.entries:
-        count = 0
-        for nodes in nx.all_simple_paths(graph, entry.origin, entry.destination):
-            count += 1
-            if count > args.cap:
-                print(json.dumps({"error_class": "path_cap",
-                                  "message": f"OD {entry.od} exceeds cap"}),
-                      file=sys.stderr)
-                return EXIT_RESOURCE
-            t = sum(network.by_arc[a].travel_cost
-                    for a in zip(nodes[:-1], nodes[1:]))
+        for nodes in simple_paths(graph, entry.od, args.cap):
+            t = Path(entry.od, nodes).travel_cost(network)
             w = omega(nodes, network, duals, matching.activations)
             path = "-".join(str(n) for n in nodes)
-            writer.write(f"{entry.origin},{entry.destination},{path},"
-                         f"{t:.6f},{w:.6f}\n")
+            sys.stdout.write(f"{entry.origin},{entry.destination},{path},"
+                             f"{t:.6f},{w:.6f}\n")
     return EXIT_OK
 
 

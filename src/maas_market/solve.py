@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -187,8 +188,16 @@ def _solve_milp_external(mip, time_limit):
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
-    res = milp(c=c, constraints=constraints, bounds=Bounds(lower, upper),
-               integrality=integrality, options=options)
+    # HiGHS's MIP solver prints debug text to C-level stdout; send it to stderr
+    sys.stdout.flush()
+    saved_stdout = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        res = milp(c=c, constraints=constraints, bounds=Bounds(lower, upper),
+                   integrality=integrality, options=options)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
     if res.status == 2:
         return SolveResult(status="infeasible")
     if res.status == 1:  # iteration/time limit

@@ -6,11 +6,13 @@ matched surplus (one equality per optimal path) and to operator cost recovery
 (one cover per operator).  Stability forbids any traveler group and operator
 coalition from profitably deviating to an alternative path.
 
-Two generators are provided.  The lexicographic generator searches, per group
-and per nonempty subcoalition of the operators serving it, for the cheapest
-alternative path avoiding that subcoalition, so it never enumerates the path
-space.  The enumeration generator writes one row per (alternative path,
-anchor path) pair over all simple paths and serves as the correctness oracle.
+Both generators run one skeleton and differ only in their alternative paths.
+An alternative omega-tied with the optimum is skipped; every other one writes
+a row per anchor optimal path over the operators the two share.  Algorithm 1
+takes, per nonempty subcoalition of the group's operators, the cheapest path
+avoiding it, so it never enumerates the path space, and keeps the strongest
+bound per variable set.  The enumeration oracle takes every simple path and
+keeps every row.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .errors import (PathCapExceeded, StabilityToleranceError,
 from .matching import MatchingSolution, Path, PathFlowSolution
 from .network import DUMMY_OPERATOR, DemandTable, Network
 
-TIE_TOL = 1e-6
+TIE_TOL = 1e-6           # omega gap below which two paths are tied
+TIE_CAP = 1000           # tied optimal paths per group before PathCapExceeded
 SUBCOALITION_CAP = 2 ** 12
 
 
@@ -130,61 +133,54 @@ def optimal_path_sets(
     duals: dict,
     activations: dict,
     decomposition: PathFlowSolution,
-    tie_tol: float = TIE_TOL,
-    tie_cap: int = 1000,
 ) -> dict:
-    """Omega-minimal path set per group, enumerating ties up to ``tie_cap``."""
+    """Omega-minimal path set per group, enumerating ties up to ``TIE_CAP``."""
     graph = _omega_graph(network, duals, activations)
     support = {}
     for path, z in decomposition.path_flows:
         support.setdefault(path.group, {})[path.nodes] = z
     sets = {}
     for entry in demand.entries:
-        best = None
-        members = []
+        flows = support.get(entry.od, {})
+        infos = []
         for count, nodes in enumerate(
                 nx.shortest_simple_paths(graph, entry.origin, entry.destination,
                                          weight="weight")):
-            if count >= tie_cap:
+            if count >= TIE_CAP:
                 raise PathCapExceeded(
-                    f"more than {tie_cap} tied optimal paths for OD {entry.od}")
+                    f"more than {TIE_CAP} tied optimal paths for OD {entry.od}")
             value = omega(nodes, network, duals, activations)
-            if best is None:
-                best = value
-            if value > best + tie_tol:
+            if infos and value > infos[0].omega_cost + TIE_TOL:
                 break
-            members.append(tuple(nodes))
-        flows = support.get(entry.od, {})
-        for nodes, z in flows.items():
+            path = Path(entry.od, tuple(nodes))
+            infos.append(PathInfo(nodes=path.nodes,
+                                  travel_cost=path.travel_cost(network),
+                                  omega_cost=value,
+                                  flow=flows.get(path.nodes, 0.0),
+                                  operators=path.operators(network)))
+        best = infos[0].omega_cost
+        for nodes in flows.keys() - {info.nodes for info in infos}:
             value = omega(nodes, network, duals, activations)
-            if value > best + tie_tol:
+            if value > best + TIE_TOL:
                 raise StabilityToleranceError(
                     f"flow-carrying path {nodes} for OD {entry.od} has deviation "
                     f"cost {value}, above the minimum {best}")
-        infos = tuple(sorted(
-            (PathInfo(nodes=nodes,
-                      travel_cost=Path(entry.od, nodes).travel_cost(network),
-                      omega_cost=omega(nodes, network, duals, activations),
-                      flow=flows.get(nodes, 0.0),
-                      operators=Path(entry.od, nodes).operators(network))
-             for nodes in members),
-            key=lambda info: info.nodes))
+        infos.sort(key=lambda info: info.nodes)
         sets[entry.od] = OptimalPathSet(
             group=entry.od, utility=entry.utility, demand=entry.demand,
-            paths=infos,
-            operators=frozenset().union(*(i.operators for i in infos)) if infos
-            else frozenset())
+            paths=tuple(infos),
+            operators=frozenset().union(*(i.operators for i in infos)))
     return sets
 
 
-def subcoalitions(operators, cap: int = SUBCOALITION_CAP):
+def subcoalitions(operators):
     """All nonempty operator subsets, smaller sets first, then lexicographic."""
     members = sorted(operators)
     if DUMMY_OPERATOR in members:
         raise ValueError("subcoalitions exclude the platform operator")
-    if 2 ** len(members) > cap:
+    if 2 ** len(members) > SUBCOALITION_CAP:
         raise SubcoalitionCapExceeded(
-            f"{len(members)} operators exceed the {cap}-subset cap")
+            f"{len(members)} operators exceed the {SUBCOALITION_CAP}-subset cap")
     out = []
     for size in range(1, len(members) + 1):
         out.extend(itertools.combinations(members, size))
@@ -206,36 +202,66 @@ def excluded_shortest_path(graph: nx.DiGraph, od, pi) -> tuple | None:
     return tuple(nodes)
 
 
-def _build_covers(network: Network, activations, decomposition, path_sets,
-                  subsidies=None):
+def simple_paths(graph: nx.DiGraph, od, cap: int):
+    """Every simple path of a group, raising ``PathCapExceeded`` past ``cap``."""
+    for count, nodes in enumerate(nx.all_simple_paths(graph, *od), start=1):
+        if count > cap:
+            raise PathCapExceeded(f"OD {od} exceeds the {cap} simple-path cap")
+        yield tuple(nodes)
+
+
+def _build_covers(network: Network, activations, path_sets, subsidies=None):
     subsidies = subsidies or {}
     covers = {}
-    flows = {(p.group, p.nodes): z for p, z in decomposition.path_flows}
     for f in sorted(network.operators):
         if f == DUMMY_OPERATOR:
             continue
         rhs = sum((link.operating_cost - subsidies.get(link.arc, 0.0))
                   for link in network.operator_links(f)
                   if activations.get(link.arc, 0) >= 0.5)
-        terms = []
-        for od in sorted(path_sets):
-            for info in path_sets[od].paths:
-                if f in info.operators:
-                    z = flows.get((od, info.nodes), 0.0)
-                    terms.append((od, info.nodes, z))
+        terms = [(od, info.nodes, info.flow)
+                 for od in sorted(path_sets)
+                 for info in path_sets[od].paths if f in info.operators]
         if terms or rhs > 0:
             covers[f] = (terms, rhs)
     return covers
 
 
+def _generate(network, demand, matching, decomposition, subsidies,
+              alternatives):
+    """Path sets, covers and raw stability rows, with each group's
+    alternative paths drawn from ``alternatives(graph, od, path_set)``."""
+    duals, activations = decomposition.duals, matching.activations
+    path_sets = optimal_path_sets(network, demand, duals, activations,
+                                  decomposition)
+    graph = _omega_graph(network, duals, activations)
+    rows = []
+    for od in sorted(path_sets):
+        pset = path_sets[od]
+        for alt in alternatives(graph, od, pset):
+            alt_omega = omega(alt, network, duals, activations)
+            if alt_omega <= pset.omega_value + TIE_TOL:
+                continue  # an omega-tied path belongs to the optimal set
+            alt_ops = Path(od, alt).operators(network)
+            bound = pset.utility - alt_omega
+            for info in pset.paths:
+                shared = info.operators & alt_ops
+                terms = tuple(sorted((info.nodes, f) for f in shared))
+                rows.append(StabilityRow(group=od, terms=terms, bound=bound))
+    covers = _build_covers(network, activations, path_sets, subsidies)
+    return path_sets, covers, rows
+
+
+def _row_order(row):
+    return (row.group, row.terms, -row.bound)
+
+
 def _dedup_rows(rows):
-    # keep the strongest bound per distinct variable set
+    # keep the strongest bound per distinct variable set, which sorts first
     best = {}
-    for row in rows:
-        key = row.variables()
-        if key not in best or row.bound > best[key].bound:
-            best[key] = row
-    return sorted(best.values(), key=lambda r: (r.group, r.terms, -r.bound))
+    for row in sorted(rows, key=_row_order):
+        best.setdefault(row.variables(), row)
+    return list(best.values())
 
 
 def generate_constraints_algorithm1(
@@ -244,45 +270,22 @@ def generate_constraints_algorithm1(
     matching: MatchingSolution,
     decomposition: PathFlowSolution,
     subsidies: dict | None = None,
-    tie_tol: float = TIE_TOL,
-    subcoalition_cap: int = SUBCOALITION_CAP,
 ) -> ConstraintSystem:
-    """Stability rows via subcoalition exclusion, no path enumeration.
+    """Algorithm 1: per group, one alternative per nonempty subcoalition of
+    its operators, the cheapest path avoiding that subcoalition; rows over
+    the same variables keep the strongest bound."""
 
-    For each group, each anchor optimal path, and each nonempty subcoalition
-    of the serving operators: find the cheapest path avoiding the coalition;
-    skip when none exists or when it is itself optimal (already bound by the
-    surplus equalities); otherwise emit a row over the shared operators.
-    """
-    path_sets = optimal_path_sets(network, demand, decomposition.duals,
-                                  matching.activations, decomposition,
-                                  tie_tol=tie_tol)
-    graph = _omega_graph(network, decomposition.duals, matching.activations)
-    rows = []
-    for od in sorted(path_sets):
-        pset = path_sets[od]
-        if not pset.paths:
-            continue
-        best = pset.omega_value
-        for pi in subcoalitions(pset.operators, cap=subcoalition_cap):
+    def excluded_paths(graph, od, pset):
+        for pi in subcoalitions(pset.operators):
             alt = excluded_shortest_path(graph, od, pi)
-            if alt is None:
-                continue
-            alt_omega = omega(alt, network, decomposition.duals,
-                              matching.activations)
-            if alt_omega <= best + tie_tol:
-                continue
-            alt_ops = Path(od, alt).operators(network)
-            bound = pset.utility - alt_omega
-            for info in pset.paths:
-                shared = info.operators & alt_ops
-                terms = tuple(sorted((info.nodes, f) for f in shared))
-                rows.append(StabilityRow(group=od, terms=terms, bound=bound))
-    return ConstraintSystem(
-        groups=path_sets,
-        covers=_build_covers(network, matching.activations, decomposition,
-                             path_sets, subsidies),
-        stability_rows=_dedup_rows(rows))
+            if alt is not None:
+                yield alt
+
+    path_sets, covers, rows = _generate(network, demand, matching,
+                                        decomposition, subsidies,
+                                        excluded_paths)
+    return ConstraintSystem(groups=path_sets, covers=covers,
+                            stability_rows=_dedup_rows(rows))
 
 
 def generate_constraints_enumeration(
@@ -291,43 +294,12 @@ def generate_constraints_enumeration(
     matching: MatchingSolution,
     decomposition: PathFlowSolution,
     subsidies: dict | None = None,
-    tie_tol: float = TIE_TOL,
     path_cap: int = 20_000,
 ) -> ConstraintSystem:
-    """Oracle generator: one stability row per (alternative, anchor) pair
-    over every simple path of every group."""
-    path_sets = optimal_path_sets(network, demand, decomposition.duals,
-                                  matching.activations, decomposition,
-                                  tie_tol=tie_tol)
-    graph = _omega_graph(network, decomposition.duals, matching.activations)
-    rows = []
-    for od in sorted(path_sets):
-        pset = path_sets[od]
-        if not pset.paths:
-            continue
-        best = pset.omega_value
-        optimal_nodes = {info.nodes for info in pset.paths}
-        count = 0
-        for nodes in nx.all_simple_paths(graph, od[0], od[1]):
-            count += 1
-            if count > path_cap:
-                raise PathCapExceeded(
-                    f"OD {od} exceeds the {path_cap} simple-path cap")
-            nodes = tuple(nodes)
-            if nodes in optimal_nodes:
-                continue
-            alt_omega = omega(nodes, network, decomposition.duals,
-                              matching.activations)
-            if alt_omega <= best + tie_tol:
-                continue  # an omega-tied path belongs to the optimal set
-            alt_ops = Path(od, nodes).operators(network)
-            bound = pset.utility - alt_omega
-            for info in pset.paths:
-                shared = info.operators & alt_ops
-                terms = tuple(sorted((info.nodes, f) for f in shared))
-                rows.append(StabilityRow(group=od, terms=terms, bound=bound))
-    return ConstraintSystem(
-        groups=path_sets,
-        covers=_build_covers(network, matching.activations, decomposition,
-                             path_sets, subsidies),
-        stability_rows=sorted(rows, key=lambda r: (r.group, r.terms, -r.bound)))
+    """Oracle generator: every simple path of a group is an alternative, and
+    every (alternative, anchor) pair keeps its row."""
+    path_sets, covers, rows = _generate(
+        network, demand, matching, decomposition, subsidies,
+        lambda graph, od, pset: simple_paths(graph, od, path_cap))
+    return ConstraintSystem(groups=path_sets, covers=covers,
+                            stability_rows=sorted(rows, key=_row_order))

@@ -2,12 +2,21 @@ import json
 
 import pytest
 
+from maas_market import dump_demand, dump_network
 from maas_market.cli import main
+from maas_market.randnet import random_instance
 
 
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _random_files(tmp_path, seed):
+    network, demand = random_instance(seed)
+    dump_network(network, tmp_path / "network.csv")
+    dump_demand(demand, tmp_path / "demand.csv")
+    return str(tmp_path / "network.csv"), str(tmp_path / "demand.csv")
 
 
 @pytest.fixture()
@@ -179,3 +188,35 @@ def test_enumerate_paths(fig5_files, capsys):
     rows = [l.split(",") for l in lines[1:]]
     paths = {r[2] for r in rows if (r[0], r[1]) == ("1", "3")}
     assert "1-3" in paths and "1-21-22-3" in paths
+
+
+def test_enumerate_paths_over_cap_exit_4(fig5_files, capsys):
+    network, demand = fig5_files
+    code = main(["enumerate-paths", "--network", network, "--demand", demand,
+                 "--cap", "1"])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_class"] == "path_cap"
+
+
+def test_enumerate_paths_external_engine_stdout_is_csv(tmp_path, capfd):
+    # HiGHS's MIP solver prints debug text to C-level stdout on this instance
+    network, demand = _random_files(tmp_path, 7088)
+    code = main(["enumerate-paths", "--network", network, "--demand", demand,
+                 "--engine", "external"])
+    assert code == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert lines[0] == "origin,destination,path,travel_cost,deviation_cost"
+    assert not any("Highs" in line for line in lines)
+
+
+def test_bench_fixed_fare_reaches_outcomes(tmp_path, capsys):
+    network, demand = _random_files(tmp_path, 7)
+    code = main(["bench", "--network", network, "--demand", demand,
+                 "--fixed-fare", "1"])
+    assert code == 0
+    record = json.loads(capsys.readouterr().out)
+    seller = record["seller_objective"]
+    assert seller["lexicographic"] == pytest.approx(547.024, abs=1e-6)
+    assert seller["enumeration"] == pytest.approx(547.024, abs=1e-6)
+    assert record["seller_agree"] and record["buyer_agree"]

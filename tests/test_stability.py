@@ -1,8 +1,11 @@
 import pytest
 
-from maas_market import (DemandEntry, DemandTable, Link, Network, omega,
-                         subcoalitions)
+from maas_market import (DemandEntry, DemandTable, Link, Network,
+                         ObjectivePolicy, build_outcome_lp, omega,
+                         solve_outcome, subcoalitions)
 from maas_market.errors import SubcoalitionCapExceeded
+from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
+from maas_market.randnet import random_instance
 from maas_market.stability import (_omega_graph, excluded_shortest_path,
                                    generate_constraints_enumeration)
 from conftest import pipeline_artifacts
@@ -152,3 +155,23 @@ def test_render_text(fig5_pipeline):
     text = fig5_pipeline[3].render_text()
     assert "u[(1, 4)] >= -390.000000" in text
     assert "p[[1, 21, 23, 4]][3]" in text
+
+
+def _vertex(system, mode):
+    model = build_outcome_lp(system, ObjectivePolicy(global_mode=mode))
+    return solve_outcome(model, tie_break=False).objective
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Algorithm 1 skips a subcoalition whose cheapest avoiding path is itself "
+    "omega-optimal, so on group (2, 4) it never writes the oracle's row from "
+    "the non-optimal path 2-3-5-4: seller vertex 795.9076 against 201.2656"))
+def test_instance_6440_algorithm1_matches_oracle():
+    network, demand = random_instance(6440)
+    matching, _, decomposition, system = pipeline_artifacts(network, demand)
+    oracle = generate_constraints_enumeration(network, demand, matching,
+                                              decomposition)
+    assert _vertex(system, BUYER_OPTIMAL) == pytest.approx(
+        _vertex(oracle, BUYER_OPTIMAL), rel=1e-6)
+    assert _vertex(system, SELLER_OPTIMAL) == pytest.approx(
+        _vertex(oracle, SELLER_OPTIMAL), rel=1e-6)
