@@ -20,8 +20,8 @@ from .outcomes import (ObjectivePolicy, OutcomeOptions, StableOutcome,
                        build_outcome_lp, check_core_nonempty, report,
                        solve_outcome)
 from .scenario import PolicyAnnotations, Scenario, apply_scenario, load_scenario
-from .solve import (LinearProgram, MixedIntegerProgram, SolveResult,
-                    Tolerances, solve_lp, solve_milp)
+from .solve import (LinearProgram, MixedIntegerProgram, SolveResult, solve_lp,
+                    solve_milp)
 from .stability import (ConstraintSystem, OptimalPathSet, StabilityRow,
                         generate_constraints_algorithm1,
                         generate_constraints_enumeration, omega,

@@ -25,7 +25,7 @@ from pathlib import Path as FilePath
 from . import fixtures as fixtures_mod
 from .closedform import (CoopCompeteInstance, SmallVsLargeInstance,
                          lemma1_lower_bound, lemma2_upper_bound)
-from .errors import MaasMarketError, PathCapExceeded
+from .errors import MaasMarketError, PathCapExceeded, ValidationError
 from .matching import (Path, decompose_flows, dump_commodity_flows,
                        dump_link_flows, dump_link_status, extract_duals,
                        solve_matching)
@@ -34,7 +34,6 @@ from .outcomes import (BUYER_OPTIMAL, SELLER_OPTIMAL, ObjectivePolicy,
                        OutcomeOptions, build_outcome_lp, report, solve_outcome)
 from .randnet import random_instance
 from .scenario import PolicyAnnotations, apply_scenario, load_scenario
-from .solve import Tolerances
 from .stability import (_omega_graph, generate_constraints_algorithm1,
                         generate_constraints_enumeration, omega, simple_paths)
 
@@ -49,14 +48,8 @@ def _error_line(exc: MaasMarketError) -> str:
     return json.dumps(record)
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(optimality=args.opt_tol, mip_gap=args.mip_gap)
-
-
 def _add_common(parser):
     parser.add_argument("--engine", choices=["bundled", "external"], default=None)
-    parser.add_argument("--opt-tol", type=float, default=1e-6)
-    parser.add_argument("--mip-gap", type=float, default=1e-6)
 
 
 def _load_inputs(args):
@@ -78,13 +71,12 @@ def _outcome_options(annotations) -> OutcomeOptions:
 
 
 def run_pipeline(network, demand, annotations, engine=None,
-                 tolerances=Tolerances(), policies=("buyer", "seller")):
+                 policies=("buyer", "seller")):
     """Matching, duals, decomposition, constraint generation, and one
     outcome vertex per requested policy.  Returns artifacts plus timings."""
     timings = {}
     start = time.perf_counter()
-    matching = solve_matching(network, demand, engine=engine,
-                              tolerances=tolerances)
+    matching = solve_matching(network, demand, engine=engine)
     timings["matching_msec"] = (time.perf_counter() - start) * 1000
     duals = extract_duals(network, demand, matching.activations)
     decomposition = decompose_flows(network, demand, matching, duals)
@@ -158,7 +150,7 @@ def cmd_run(args) -> int:
     network, demand, annotations = _load_inputs(args)
     policies = args.policy or ["buyer", "seller", "custom"]
     result = run_pipeline(network, demand, annotations, engine=args.engine,
-                          tolerances=_tolerances(args), policies=policies)
+                          policies=policies)
     _write_run_artifacts(args.out, network, result)
     empty = [n for n, o in result["outcomes"].items() if o.status == "empty_core"]
     if empty:
@@ -185,11 +177,9 @@ def cmd_compare(args) -> int:
     network = load_network(args.network)
     demand = load_demand(args.demand)
     scenario = load_scenario(args.scenario)
-    base = run_pipeline(network, demand, PolicyAnnotations(),
-                        engine=args.engine, tolerances=_tolerances(args))
+    base = run_pipeline(network, demand, PolicyAnnotations(), engine=args.engine)
     net2, dem2, ann2 = apply_scenario(network, demand, scenario)
     varied = run_pipeline(net2, dem2, ann2, engine=args.engine,
-                          tolerances=_tolerances(args),
                           policies=("buyer", "seller", "custom"))
     outdir = FilePath(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -217,7 +207,7 @@ def cmd_compare(args) -> int:
 
 def _bench_one(name, network, demand, annotations, args):
     result = run_pipeline(network, demand, annotations, engine=args.engine,
-                          tolerances=_tolerances(args), policies=())
+                          policies=())
     system1 = result["system"]
     record = {"instance": name,
               "lexicographic_msec": result["timings"]["generation_msec"],
@@ -257,6 +247,8 @@ def _bench_one(name, network, demand, annotations, args):
 
 
 def cmd_bench(args) -> int:
+    if bool(args.network) != bool(args.demand):
+        raise ValidationError("bench needs --network and --demand together")
     records = []
     if args.network:
         network, demand, annotations = _load_inputs(args)
@@ -315,8 +307,7 @@ def cmd_lemma2(args) -> int:
 def cmd_enumerate_paths(args) -> int:
     network = load_network(args.network)
     demand = load_demand(args.demand)
-    matching = solve_matching(network, demand, engine=args.engine,
-                              tolerances=_tolerances(args))
+    matching = solve_matching(network, demand, engine=args.engine)
     duals = extract_duals(network, demand, matching.activations)
     graph = _omega_graph(network, duals, matching.activations)
     sys.stdout.write("origin,destination,path,travel_cost,deviation_cost\n")
@@ -407,6 +398,9 @@ def main(argv=None) -> int:
     except MaasMarketError as exc:
         print(_error_line(exc), file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an unreadable input file or an unwritable output
+        print(json.dumps({"error_class": "io", "message": str(exc)}), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

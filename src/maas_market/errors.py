@@ -27,7 +27,8 @@ class SolveNumericalError(MaasMarketError):
 
 
 class ResourceLimitExceeded(MaasMarketError):
-    """Node or time cap hit before proving optimality.
+    """The bundled branch-and-bound's node cap, or a HiGHS limit, hit before
+    proving optimality.  There is no time cap.
 
     Carries the best incumbent objective and the best bound seen so far
     (either may be None if no incumbent was found).

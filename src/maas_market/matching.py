@@ -9,9 +9,11 @@ activated links.
 Solving goes through an origin-aggregated reformulation (commodities that
 share an origin are merged, which is exact because link costs do not depend
 on the commodity).  With the activations fixed, one origin-aggregated flow
-LP over the operated links gives both the link flows, which a lexicographic
-walk per origin splits into per-OD flows, and the capacity duals, read from
-its capacity rows.  All three models share one node-arc incidence builder.
+LP over the operated links gives both the link flows and the capacity duals,
+read from its capacity rows.  One lexicographic walk per origin splits its
+flow into paths; summed per OD they give the per-OD flows, and merged per OD
+they are the canonical path decomposition.  All three models share one
+node-arc incidence builder.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import networkx as nx
 
 from .errors import InfeasibleMatchingError, SolveNumericalError
 from .network import DUMMY_OPERATOR, DemandTable, Network
-from .solve import (EQ, LE, LinearProgram, MixedIntegerProgram, Tolerances,
-                    solve_lp, solve_milp)
+from .solve import EQ, LE, LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
 
 FLOW_EPS = 1e-6
+OPTIMALITY_TOL = 1e-6  # relative: recovered flow cost against the MILP optimum
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class MatchingSolution:
     flows: dict  # od -> {arc: passengers}
     activations: dict  # arc -> 0/1
     objective: float
+    path_flows: list  # [(Path, z_r)], per OD in demand order
 
     def total_flow(self, arc) -> float:
         return sum(per_od.get(arc, 0.0) for per_od in self.flows.values())
@@ -182,18 +185,15 @@ def solve_matching(
     network: Network,
     demand: DemandTable,
     engine: str | None = None,
-    tolerances: Tolerances = Tolerances(),
-    node_limit: int = 200_000,
-    time_limit: float | None = None,
 ) -> MatchingSolution:
-    """Solve the matching to proven optimality; per-OD flows and activations."""
+    """Solve the matching to proven optimality; activations, per-OD flows and
+    path flows."""
     demand.validate_against(network)
     if not demand.entries:
         return MatchingSolution(flows={}, activations={l.arc: 0 for l in network.links},
-                                objective=0.0)
+                                objective=0.0, path_flows=[])
     mip = _build_origin_aggregated(network, demand)
-    result = solve_milp(mip, engine=engine, tolerances=tolerances,
-                        node_limit=node_limit, time_limit=time_limit)
+    result = solve_milp(mip, engine=engine)
     if result.status == "infeasible":
         _diagnose_infeasible(network, demand)
     if result.status != "optimal":
@@ -211,21 +211,27 @@ def solve_matching(
     fixed_cost = sum(l.operating_cost for l in network.links
                      if activations[l.arc])
     recomputed = sub.objective + fixed_cost
-    if abs(recomputed - objective) > tolerances.optimality * max(1.0, abs(objective)):
+    if abs(recomputed - objective) > OPTIMALITY_TOL * max(1.0, abs(objective)):
         raise SolveNumericalError(
             f"aggregated optimum {objective} and recovered flows {recomputed} disagree")
     flows = {entry.od: {} for entry in demand.entries}
+    paths = {entry.od: {} for entry in demand.entries}  # od -> {nodes: amount}
     num_links = len(links)
     for o_idx, origin in enumerate(origins):
         block = sub.x[o_idx * num_links:(o_idx + 1) * num_links]
         residual = {link.arc: float(v) for link, v in zip(links, block) if v > FLOW_EPS}
         unmet = {e.destination: e.demand for e in demand.entries if e.origin == origin}
-        for nodes, amount in _walk_paths(origin, unmet, residual, f"origin {origin}"):
-            per_od = flows[(origin, nodes[-1])]
+        for nodes, amount in _walk_paths(origin, unmet, residual):
+            od = (origin, nodes[-1])
+            per_od = flows[od]
             for arc in _arcs(nodes):
                 per_od[arc] = per_od.get(arc, 0.0) + amount
+            paths[od][nodes] = paths[od].get(nodes, 0.0) + amount
+    path_flows = [(Path(group=od, nodes=nodes), amount)
+                  for od, merged in paths.items()
+                  for nodes, amount in merged.items() if amount > FLOW_EPS]
     return MatchingSolution(flows=flows, activations=activations,
-                            objective=float(recomputed))
+                            objective=float(recomputed), path_flows=path_flows)
 
 
 def extract_duals(
@@ -257,26 +263,18 @@ def decompose_flows(
     solution: MatchingSolution,
     duals: dict | None = None,
 ) -> PathFlowSolution:
-    """Canonical path decomposition of the per-OD link flows.
+    """Canonical path decomposition of the per-OD link flows, with the duals.
 
-    Per commodity, the lexicographic walk of ``_walk_paths``; paths met more
-    than once are merged.  Deterministic, so reported path flows are
-    reproducible despite their non-uniqueness.
+    The paths are those ``solve_matching`` walked from each origin, merged
+    per OD in demand order, so ``network`` and ``demand`` are not read.
+    Deterministic, so reported path flows are reproducible despite their
+    non-uniqueness.
     """
-    path_flows = []
-    for entry in demand.entries:
-        residual = {arc: v for arc, v in solution.flows.get(entry.od, {}).items()
-                    if v > FLOW_EPS}
-        merged = {}
-        for nodes, amount in _walk_paths(entry.origin, {entry.destination: entry.demand},
-                                         residual, f"OD {entry.od}"):
-            merged[nodes] = merged.get(nodes, 0.0) + amount
-        path_flows.extend((Path(group=entry.od, nodes=nodes), amount)
-                          for nodes, amount in merged.items() if amount > FLOW_EPS)
-    return PathFlowSolution(path_flows=path_flows, duals=dict(duals or {}))
+    return PathFlowSolution(path_flows=list(solution.path_flows),
+                            duals=dict(duals or {}))
 
 
-def _walk_paths(source, unmet, residual, label):
+def _walk_paths(source, unmet, residual):
     """Split the flow leaving ``source`` into paths, lexicographically.
 
     ``unmet`` maps each sink to the demand it still needs and ``residual``
@@ -295,7 +293,7 @@ def _walk_paths(source, unmet, residual, label):
             nexts = [h for (t, h) in residual if t == node]
             if not nexts:
                 raise SolveNumericalError(
-                    f"flow for {label} dead-ends at node {node}")
+                    f"flow from origin {source} dead-ends at node {node}")
             nxt = min(nexts)
             if nxt in position:
                 cycle = walk[position[nxt]:] + [nxt]

@@ -4,10 +4,15 @@ Two interchangeable engines solve mixed-integer programs:
 
 * ``bundled`` -- a deterministic branch-and-bound over the binary variables
   with LP-relaxation bounds (best-bound node order, most-fractional branching,
-  ties broken by lowest variable index).
-* ``external`` -- HiGHS' own branch-and-cut via :func:`scipy.optimize.milp`.
+  ties broken by lowest variable index).  It converts its model to scipy form
+  once per solve; each node changes only the bounds of the binaries it fixes.
+  It proves optimality to the absolute gap ``MIP_GAP`` and gives up with
+  :class:`ResourceLimitExceeded` after ``NODE_LIMIT`` nodes.
+* ``external`` -- HiGHS' own branch-and-cut via :func:`scipy.optimize.milp`,
+  with a relative gap of zero.
 
-Pure LPs always go through HiGHS (:func:`scipy.optimize.linprog`), which also
+The configuration is fixed: no tolerance, gap or limit is settable.  Pure
+LPs always go through HiGHS (:func:`scipy.optimize.linprog`), which also
 provides the row duals.  Reported duals follow the convention
 ``dual = d(objective)/d(rhs)`` in the problem's own optimization sense.
 """
@@ -18,8 +23,7 @@ import heapq
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +36,11 @@ LE, EQ, GE = "<=", "=", ">="
 ENGINE_ENV_VAR = "MAAS_MARKET_ENGINE"
 DEFAULT_ENGINE = "bundled"
 
+MIP_GAP = 1e-6         # absolute: a node is pruned unless it beats the incumbent by this
+NODE_LIMIT = 200_000   # bundled branch-and-bound children before ResourceLimitExceeded
+
+_LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
 
 def resolve_engine(engine: str | None = None) -> str:
     """Engine precedence: explicit argument, then environment, then default."""
@@ -39,12 +48,6 @@ def resolve_engine(engine: str | None = None) -> str:
     if name not in ("bundled", "external"):
         raise ValueError(f"unknown engine {name!r}")
     return name
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    optimality: float = 1e-6      # relative, LP strong duality
-    mip_gap: float = 1e-6         # absolute, MILP incumbent-vs-bound
 
 
 @dataclass
@@ -125,21 +128,24 @@ def _to_scipy(lp: LinearProgram):
         (np.array(b_eq) if b_eq else None), map_ub, map_eq, sign
 
 
+def _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """One HiGHS solve of a model in ``_to_scipy`` form: (status, scipy result)."""
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    if res.status not in _LP_STATUS:
+        raise SolveNumericalError(f"LP solve failed: {res.message}")
+    return _LP_STATUS[res.status], res
+
+
 def solve_lp(lp: LinearProgram) -> SolveResult:
     """Solve a pure LP to an optimal basic solution with row duals."""
     if lp.num_vars == 0:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
     c, A_ub, b_ub, A_eq, b_eq, map_ub, map_eq, sign = _to_scipy(lp)
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=lp.effective_bounds(), method="highs")
-    if res.status == 2:
-        return SolveResult(status="infeasible")
-    if res.status == 3:
-        return SolveResult(status="unbounded")
-    if res.status != 0:
-        raise SolveNumericalError(f"LP solve failed: {res.message}")
+    status, res = _linprog(c, A_ub, b_ub, A_eq, b_eq, lp.effective_bounds())
+    if status != "optimal":
+        return SolveResult(status=status)
     duals = np.zeros(len(lp.rows))
     if map_ub:
         marg = res.ineqlin.marginals
@@ -153,22 +159,25 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
                        duals=duals)
 
 
-def solve_milp(
-    mip: MixedIntegerProgram,
-    engine: str | None = None,
-    tolerances: Tolerances = Tolerances(),
-    node_limit: int = 200_000,
-    time_limit: float | None = None,
-) -> SolveResult:
-    """Solve a MILP to proven optimality within the absolute gap tolerance."""
+def solve_milp(mip: MixedIntegerProgram, engine: str | None = None) -> SolveResult:
+    """Solve a MILP to proven optimality within the absolute gap ``MIP_GAP``."""
     if not mip.binary_vars:
         return solve_lp(mip.lp)
     if resolve_engine(engine) == "external":
-        return _solve_milp_external(mip, time_limit)
-    return _solve_milp_bundled(mip, tolerances, node_limit, time_limit)
+        return _solve_milp_external(mip)
+    return _solve_milp_bundled(mip)
 
 
-def _solve_milp_external(mip, time_limit):
+def _binary_bounds(mip):
+    """Variable bounds as an (n, 2) array, each binary clamped to [0, 1]."""
+    bounds = np.array(mip.lp.effective_bounds(), dtype=float)
+    binaries = sorted(mip.binary_vars)
+    bounds[binaries, 0] = np.maximum(bounds[binaries, 0], 0.0)
+    bounds[binaries, 1] = np.minimum(bounds[binaries, 1], 1.0)
+    return bounds
+
+
+def _solve_milp_external(mip):
     lp = mip.lp
     c, A_ub, b_ub, A_eq, b_eq, _, _, sign = _to_scipy(lp)
     constraints = []
@@ -177,30 +186,22 @@ def _solve_milp_external(mip, time_limit):
     if A_eq is not None:
         constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
     integrality = np.zeros(lp.num_vars)
-    lower = np.zeros(lp.num_vars)
-    upper = np.full(lp.num_vars, np.inf)
-    for i, (lo, hi) in enumerate(lp.effective_bounds()):
-        lower[i], upper[i] = lo, hi
-    for i in mip.binary_vars:
-        integrality[i] = 1
-        lower[i] = max(lower[i], 0.0)
-        upper[i] = min(upper[i], 1.0)
-    options = {"mip_rel_gap": 0.0}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
+    integrality[sorted(mip.binary_vars)] = 1
+    bounds = _binary_bounds(mip)
     # HiGHS's MIP solver prints debug text to C-level stdout; send it to stderr
     sys.stdout.flush()
     saved_stdout = os.dup(1)
     os.dup2(2, 1)
     try:
-        res = milp(c=c, constraints=constraints, bounds=Bounds(lower, upper),
-                   integrality=integrality, options=options)
+        res = milp(c=c, constraints=constraints,
+                   bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+                   integrality=integrality, options={"mip_rel_gap": 0.0})
     finally:
         os.dup2(saved_stdout, 1)
         os.close(saved_stdout)
     if res.status == 2:
         return SolveResult(status="infeasible")
-    if res.status == 1:  # iteration/time limit
+    if res.status == 1:  # iteration limit or another HiGHS limit
         raise ResourceLimitExceeded(
             "external engine hit its resource limit",
             incumbent=(sign * res.fun if res.fun is not None else None),
@@ -213,106 +214,65 @@ def _solve_milp_external(mip, time_limit):
     return SolveResult(status="optimal", x=res.x, objective=sign * res.fun)
 
 
-def _solve_milp_bundled(mip, tolerances, node_limit, time_limit):
+def _solve_milp_bundled(mip):
     """Branch-and-bound on the binaries with LP-relaxation bounds.
 
     Internally minimizes; deterministic: best-bound node order with FIFO
     tie-break, branch on the binary closest to 1/2, ties to the lowest index.
+    The model is converted once; a node only fixes the bounds of its
+    branched binaries.
     """
     lp = mip.lp
-    base_bounds = lp.effective_bounds()
+    c, A_ub, b_ub, A_eq, b_eq, _, _, sign = _to_scipy(lp)
+    base_bounds = _binary_bounds(mip)
     binaries = sorted(mip.binary_vars)
-    sign = -1.0 if lp.maximize else 1.0
-    gap = tolerances.mip_gap
 
     def relax(fixings):
-        bounds = list(base_bounds)
-        for i in binaries:
-            lo, hi = bounds[i]
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
-            if i in fixings:
-                lo = hi = float(fixings[i])
-            bounds[i] = (lo, hi)
-        relaxed = replace(lp, bounds=bounds)
-        return solve_lp(relaxed)
+        bounds = base_bounds.copy()
+        for i, value in fixings.items():
+            bounds[i] = value
+        return _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
 
-    start = time.monotonic()
     counter = 0
     incumbent_x = None
     incumbent_val = math.inf  # minimization value
-    root = relax({})
-    if root.status == "infeasible":
-        return SolveResult(status="infeasible")
-    if root.status == "unbounded":
-        return SolveResult(status="unbounded")
-    heap = [(sign * root.objective, counter, {}, root)]
+    status, root = relax({})
+    if status != "optimal":
+        return SolveResult(status=status)
+    heap = [(root.fun, counter, {}, root.x)]
     while heap:
-        node_bound, _, fixings, res = heapq.heappop(heap)
-        if node_bound >= incumbent_val - gap:
+        node_bound, _, fixings, x = heapq.heappop(heap)
+        if node_bound >= incumbent_val - MIP_GAP:
             break  # best-bound order: nothing left can improve
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            raise ResourceLimitExceeded(
-                "bundled branch-and-bound time cap exceeded",
-                incumbent=None if incumbent_x is None else sign * incumbent_val,
-                bound=sign * node_bound)
         frac_i, frac_dist = -1, -1.0
         for i in binaries:
-            if abs(res.x[i] - round(res.x[i])) <= 1e-9:
+            if abs(x[i] - round(x[i])) <= 1e-9:
                 continue
-            dist = 0.5 - abs(res.x[i] - 0.5)
+            dist = 0.5 - abs(x[i] - 0.5)
             if dist > frac_dist + 1e-9:
                 frac_i, frac_dist = i, dist
         if frac_i < 0:
             # integral solution
             if node_bound < incumbent_val:
                 incumbent_val = node_bound
-                incumbent_x = np.array(res.x)
+                incumbent_x = np.array(x)
                 incumbent_x[binaries] = np.round(incumbent_x[binaries])
             continue
         for value in (0, 1):
             counter += 1
-            if counter > node_limit:
+            if counter > NODE_LIMIT:
                 raise ResourceLimitExceeded(
                     "bundled branch-and-bound node cap exceeded",
                     incumbent=None if incumbent_x is None else sign * incumbent_val,
                     bound=sign * node_bound)
             child_fix = dict(fixings)
             child_fix[frac_i] = value
-            child = relax(child_fix)
-            if child.status != "optimal":
+            status, child = relax(child_fix)
+            if status != "optimal":
                 continue
-            child_bound = sign * child.objective
-            if child_bound < incumbent_val - gap:
-                heapq.heappush(heap, (child_bound, counter, child_fix, child))
+            if child.fun < incumbent_val - MIP_GAP:
+                heapq.heappush(heap, (child.fun, counter, child_fix, child.x))
     if incumbent_x is None:
         return SolveResult(status="infeasible")
     objective = float(np.dot(lp.objective, incumbent_x))
     return SolveResult(status="optimal", x=incumbent_x, objective=objective)
-
-
-def write_lp_file(program, path) -> None:
-    """Emit a model as fixed-point decimal LP-format text for debugging."""
-    lp = program.lp if isinstance(program, MixedIntegerProgram) else program
-    binaries = program.binary_vars if isinstance(program, MixedIntegerProgram) else frozenset()
-
-    def term(val, idx):
-        return f"{'+' if val >= 0 else '-'} {abs(val):.12f} x{idx}"
-
-    lines = ["Maximize" if lp.maximize else "Minimize"]
-    obj = " ".join(term(v, i) for i, v in enumerate(lp.objective) if v != 0) or "0 x0"
-    lines.append(f" obj: {obj}")
-    lines.append("Subject To")
-    for k, row in enumerate(lp.rows):
-        body = " ".join(term(v, i) for i, v in row.coeffs) or "0 x0"
-        sense = {LE: "<=", EQ: "=", GE: ">="}[row.sense]
-        lines.append(f" r{k}: {body} {sense} {row.rhs:.12f}")
-    lines.append("Bounds")
-    for i, (lo, hi) in enumerate(lp.effective_bounds()):
-        hi_txt = "+inf" if math.isinf(hi) else f"{hi:.12f}"
-        lines.append(f" {lo:.12f} <= x{i} <= {hi_txt}")
-    if binaries:
-        lines.append("Binary")
-        lines.append(" " + " ".join(f"x{i}" for i in sorted(binaries)))
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -96,6 +96,29 @@ def test_run_infeasible_demand_exit_2(tmp_path, capsys):
     assert err["offending_ods"] == [[1, 2]]
 
 
+def test_run_missing_input_file_exit_1(tmp_path, fig5_files, capsys):
+    _, demand = fig5_files
+    code = main(["run", "--network", str(tmp_path / "missing.csv"),
+                 "--demand", demand, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error_class"] == "io"
+    assert "missing.csv" in record["message"]
+
+
+@pytest.mark.parametrize("given", ["--network", "--demand"])
+def test_bench_needs_network_and_demand_together(fig5_files, capsys, given):
+    network, demand = fig5_files
+    code = main(["bench", given, network if given == "--network" else demand])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error_class"] == "validation"
+
+
 def test_run_empty_core_exit_3(tmp_path, capsys):
     # cheap rival with tiny capacity makes the monopoly cover unsupportable:
     # the cover needs p >= 10 per rider but stability caps u + p at omega = 1

@@ -1,8 +1,10 @@
 import pytest
 
 from maas_market import (DemandEntry, DemandTable, InfeasibleMatchingError,
-                         Link, Network, build_mcnd, decompose_flows,
-                         extract_duals, solve_matching, solve_milp)
+                         Link, Network, Path, build_mcnd, decompose_flows,
+                         extract_duals, fig5, solve_matching, solve_milp)
+from maas_market.matching import FLOW_EPS, _walk_paths
+from maas_market.randnet import random_instance
 
 def _line_network():
     links = (Link(1, 2, travel_cost=2, operating_cost=5, capacity=10, owner=1),)
@@ -121,6 +123,29 @@ def test_diamond_decomposition_reconstructs_links():
             matching.total_flow(link.arc), abs=1e-6)
     total = sum(z for _, z in decomposition.path_flows)
     assert total == pytest.approx(10, abs=1e-6)
+
+
+def _rewalk_per_od(demand, matching):
+    """Reference decomposition: walk each OD's summed link flows again."""
+    path_flows = []
+    for entry in demand.entries:
+        residual = {arc: v for arc, v in matching.flows[entry.od].items()
+                    if v > FLOW_EPS}
+        merged = {}
+        for nodes, amount in _walk_paths(entry.origin,
+                                         {entry.destination: entry.demand}, residual):
+            merged[nodes] = merged.get(nodes, 0.0) + amount
+        path_flows.extend((Path(group=entry.od, nodes=nodes), amount)
+                          for nodes, amount in merged.items() if amount > FLOW_EPS)
+    return path_flows
+
+
+def test_origin_walk_matches_per_od_rewalk():
+    instances = [("fig5", fig5())]
+    instances += [(f"random-{seed}", random_instance(seed)) for seed in range(50)]
+    for name, (network, demand) in instances:
+        matching = solve_matching(network, demand)
+        assert matching.path_flows == _rewalk_per_od(demand, matching), name
 
 
 def test_single_path_commodity():

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import maas_market
-from maas_market import (LinearProgram, MixedIntegerProgram, solve_lp,
+from maas_market import (LinearProgram, MixedIntegerProgram, solve, solve_lp,
                          solve_milp)
 from maas_market.errors import ResourceLimitExceeded
-from maas_market.solve import EQ, GE, LE, resolve_engine, write_lp_file
+from maas_market.solve import EQ, GE, LE, resolve_engine
 
 
 def test_trivial_lp_with_dual():
@@ -131,10 +131,27 @@ def test_fixed_charge_matches_enumeration(engine):
         assert result.objective == pytest.approx(expected, abs=1e-6)
 
 
-def test_bundled_node_cap():
+def test_bundled_node_cap(monkeypatch):
     mip, *_ = _random_fixed_charge(3)
+    monkeypatch.setattr(solve, "NODE_LIMIT", 1)
     with pytest.raises(ResourceLimitExceeded):
-        solve_milp(mip, engine="bundled", node_limit=1)
+        solve_milp(mip, engine="bundled")
+
+
+def test_bundled_converts_its_model_once(monkeypatch):
+    calls = []
+    to_scipy = solve._to_scipy
+
+    def counted(lp):
+        calls.append(lp)
+        return to_scipy(lp)
+
+    monkeypatch.setattr(solve, "_to_scipy", counted)
+    mip, n_bin, caps, demand = _random_fixed_charge(3)
+    result = solve_milp(mip, engine="bundled")
+    assert result.objective == pytest.approx(_brute_force(mip, n_bin, caps, demand),
+                                             abs=1e-6)
+    assert len(calls) == 1
 
 
 def test_engine_resolution(monkeypatch):
@@ -154,18 +171,6 @@ def test_milp_infeasible_status():
     mip = MixedIntegerProgram(lp=lp, binary_vars=frozenset({0}))
     assert solve_milp(mip, engine="bundled").status == "infeasible"
     assert solve_milp(mip, engine="external").status == "infeasible"
-
-
-def test_lp_file_emission(tmp_path):
-    lp = LinearProgram(num_vars=2, objective=[1.0, -2.0], maximize=True)
-    lp.add_row([(0, 1.0), (1, 1.0)], LE, 4.0)
-    mip = MixedIntegerProgram(lp=lp, binary_vars=frozenset({1}))
-    path = tmp_path / "model.lp"
-    write_lp_file(mip, path)
-    text = path.read_text()
-    assert text.startswith("Maximize")
-    assert "Binary" in text and "x1" in text
-    assert "e" not in text.split("\n")[1]  # fixed-point decimals only
 
 
 def test_instance_3313_solves_in_a_fresh_process():
