@@ -11,7 +11,8 @@ Subcommands:
 * ``enumerate-paths`` dump every simple path per OD with its deviation cost
 
 Exit codes: 0 success, 2 infeasible demand, 3 empty core, 4 resource limit,
-1 anything else.  Failures print a one-line JSON error record to stderr.
+1 anything else, a bad command line included.  Failures print a one-line
+JSON error record to stderr.
 """
 
 from __future__ import annotations
@@ -321,8 +322,16 @@ def cmd_enumerate_paths(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`ValidationError` (exit 1),
+    not with argparse's usage text and exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="maas-market",
         description="Market equilibria for multi-operator MaaS platforms")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -392,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MaasMarketError as exc:
         print(_error_line(exc), file=sys.stderr)

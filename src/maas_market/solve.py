@@ -4,17 +4,25 @@ Two interchangeable engines solve mixed-integer programs:
 
 * ``bundled`` -- a deterministic branch-and-bound over the binary variables
   with LP-relaxation bounds (best-bound node order, most-fractional branching,
-  ties broken by lowest variable index).  It converts its model to scipy form
-  once per solve; each node changes only the bounds of the binaries it fixes.
-  It proves optimality to the absolute gap ``MIP_GAP`` and gives up with
-  :class:`ResourceLimitExceeded` after ``NODE_LIMIT`` nodes.
+  ties broken by lowest variable index).  It passes its model to one HiGHS
+  handle once per solve.  Each node changes only the bounds of the binaries,
+  restores its parent's simplex basis and re-solves with the dual simplex
+  from there.  It proves optimality to the absolute gap ``MIP_GAP`` and gives
+  up with :class:`ResourceLimitExceeded` after ``NODE_LIMIT`` nodes.
 * ``external`` -- HiGHS' own branch-and-cut via :func:`scipy.optimize.milp`,
   with a relative gap of zero.
 
-The configuration is fixed: no tolerance, gap or limit is settable.  Pure
-LPs always go through HiGHS (:func:`scipy.optimize.linprog`), which also
-provides the row duals.  Reported duals follow the convention
-``dual = d(objective)/d(rhs)`` in the problem's own optimization sense.
+Pure LPs go through the same handle builder: one cold HiGHS solve, whose
+row duals are read from the solution.  No solve goes through
+:func:`scipy.optimize.linprog`.  The handle is the private binding
+``scipy.optimize._highspy._core._Highs`` (HiGHS 1.12.0 in scipy 1.17), on
+which ``linprog`` and ``milp`` are built; a scipy without it fails at import.
+HiGHS gets the model in ``linprog``'s form -- the ``<=`` rows (``>=`` rows
+negated), then the ``=`` rows -- with ``linprog``'s options.
+
+The configuration is fixed: no tolerance, gap or limit is settable.
+Reported duals follow the convention ``dual = d(objective)/d(rhs)`` in the
+problem's own optimization sense.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
+                                           MatrixFormat, _Highs)
 
 from .errors import ResourceLimitExceeded, SolveNumericalError
 
@@ -39,7 +49,9 @@ DEFAULT_ENGINE = "bundled"
 MIP_GAP = 1e-6         # absolute: a node is pruned unless it beats the incumbent by this
 NODE_LIMIT = 200_000   # bundled branch-and-bound children before ResourceLimitExceeded
 
-_LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+_LP_STATUS = {HighsModelStatus.kOptimal: "optimal",
+              HighsModelStatus.kInfeasible: "infeasible",
+              HighsModelStatus.kUnbounded: "unbounded"}
 
 
 def resolve_engine(engine: str | None = None) -> str:
@@ -124,17 +136,43 @@ def _to_scipy(lp: LinearProgram):
             map_ub.append((k, flip))
     A_ub = sp.csr_matrix((data_ub, (rows_ub, cols_ub)), shape=(len(b_ub), n)) if b_ub else None
     A_eq = sp.csr_matrix((data_eq, (rows_eq, cols_eq)), shape=(len(b_eq), n)) if b_eq else None
-    return sign * c, A_ub, (np.array(b_ub) if b_ub else None), A_eq, \
-        (np.array(b_eq) if b_eq else None), map_ub, map_eq, sign
+    return sign * c, A_ub, np.array(b_ub, dtype=float), A_eq, \
+        np.array(b_eq, dtype=float), map_ub, map_eq, sign
 
 
-def _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """One HiGHS solve of a model in ``_to_scipy`` form: (status, scipy result)."""
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status not in _LP_STATUS:
-        raise SolveNumericalError(f"LP solve failed: {res.message}")
-    return _LP_STATUS[res.status], res
+def _highs_handle(lp: LinearProgram, bounds):
+    """A HiGHS handle holding ``lp`` in ``_to_scipy`` form with column
+    ``bounds`` (an (n, 2) array), and the row maps and sign of that form."""
+    c, A_ub, b_ub, A_eq, b_eq, map_ub, map_eq, sign = _to_scipy(lp)
+    blocks = [A for A in (A_ub, A_eq) if A is not None]
+    A = sp.vstack(blocks).tocsc() if blocks else sp.csc_matrix((0, lp.num_vars))
+    model = HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
+    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+    model.col_cost_ = c
+    model.col_lower_ = bounds[:, 0]
+    model.col_upper_ = bounds[:, 1]
+    model.row_lower_ = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
+    model.row_upper_ = np.concatenate((b_ub, b_eq))
+    model.a_matrix_.format_ = MatrixFormat.kColwise
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data
+    highs = _Highs()
+    highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as linprog sets
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(model)
+    return highs, map_ub, map_eq, sign
+
+
+def _run(highs) -> str:
+    """Solve from the handle's current state: optimal, infeasible or unbounded."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status not in _LP_STATUS:
+        raise SolveNumericalError(
+            f"LP solve failed: {highs.modelStatusToString(status)}")
+    return _LP_STATUS[status]
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
@@ -142,20 +180,20 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     if lp.num_vars == 0:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
-    c, A_ub, b_ub, A_eq, b_eq, map_ub, map_eq, sign = _to_scipy(lp)
-    status, res = _linprog(c, A_ub, b_ub, A_eq, b_eq, lp.effective_bounds())
+    highs, map_ub, map_eq, sign = _highs_handle(
+        lp, np.array(lp.effective_bounds(), dtype=float))
+    status = _run(highs)
     if status != "optimal":
         return SolveResult(status=status)
+    solution = highs.getSolution()
+    marg = solution.row_dual
     duals = np.zeros(len(lp.rows))
-    if map_ub:
-        marg = res.ineqlin.marginals
-        for r, (k, flip) in enumerate(map_ub):
-            duals[k] = sign * flip * marg[r]
-    if map_eq:
-        marg = res.eqlin.marginals
-        for r, k in enumerate(map_eq):
-            duals[k] = sign * marg[r]
-    return SolveResult(status="optimal", x=res.x, objective=sign * res.fun,
+    for r, (k, flip) in enumerate(map_ub):
+        duals[k] = sign * flip * marg[r]
+    for r, k in enumerate(map_eq, start=len(map_ub)):
+        duals[k] = sign * marg[r]
+    return SolveResult(status="optimal", x=np.array(solution.col_value),
+                       objective=sign * highs.getInfo().objective_function_value,
                        duals=duals)
 
 
@@ -219,29 +257,38 @@ def _solve_milp_bundled(mip):
 
     Internally minimizes; deterministic: best-bound node order with FIFO
     tie-break, branch on the binary closest to 1/2, ties to the lowest index.
-    The model is converted once; a node only fixes the bounds of its
-    branched binaries.
+    One HiGHS handle holds the model.  A node resets the bounds of every
+    binary, fixing its branched ones, and re-solves from its parent's basis.
     """
     lp = mip.lp
-    c, A_ub, b_ub, A_eq, b_eq, _, _, sign = _to_scipy(lp)
-    base_bounds = _binary_bounds(mip)
+    bounds = _binary_bounds(mip)
     binaries = sorted(mip.binary_vars)
+    highs, _, _, sign = _highs_handle(lp, bounds)
+    cols = np.array(binaries, dtype=np.int32)
 
-    def relax(fixings):
-        bounds = base_bounds.copy()
+    def solved():
+        """The handle's optimum as (objective, x, basis)."""
+        return (highs.getInfo().objective_function_value,
+                np.array(highs.getSolution().col_value), highs.getBasis())
+
+    def relax(fixings, basis):
+        node = bounds.copy()
         for i, value in fixings.items():
-            bounds[i] = value
-        return _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
+            node[i] = value
+        highs.changeColsBounds(len(cols), cols, node[cols, 0], node[cols, 1])
+        highs.setBasis(basis)
+        return solved() if _run(highs) == "optimal" else None
 
     counter = 0
     incumbent_x = None
     incumbent_val = math.inf  # minimization value
-    status, root = relax({})
+    status = _run(highs)
     if status != "optimal":
         return SolveResult(status=status)
-    heap = [(root.fun, counter, {}, root.x)]
+    root_val, root_x, root_basis = solved()
+    heap = [(root_val, counter, {}, root_x, root_basis)]
     while heap:
-        node_bound, _, fixings, x = heapq.heappop(heap)
+        node_bound, _, fixings, x, basis = heapq.heappop(heap)
         if node_bound >= incumbent_val - MIP_GAP:
             break  # best-bound order: nothing left can improve
         frac_i, frac_dist = -1, -1.0
@@ -267,11 +314,9 @@ def _solve_milp_bundled(mip):
                     bound=sign * node_bound)
             child_fix = dict(fixings)
             child_fix[frac_i] = value
-            status, child = relax(child_fix)
-            if status != "optimal":
-                continue
-            if child.fun < incumbent_val - MIP_GAP:
-                heapq.heappush(heap, (child.fun, counter, child_fix, child.x))
+            child = relax(child_fix, basis)
+            if child is not None and child[0] < incumbent_val - MIP_GAP:
+                heapq.heappush(heap, (child[0], counter, child_fix, *child[1:]))
     if incumbent_x is None:
         return SolveResult(status="infeasible")
     objective = float(np.dot(lp.objective, incumbent_x))

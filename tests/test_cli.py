@@ -110,6 +110,28 @@ def test_run_missing_input_file_exit_1(tmp_path, fig5_files, capsys):
     assert "missing.csv" in record["message"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--demand", "DEMAND", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: --demand"),
+])
+def test_bad_command_line_exit_1(fig5_files, capsys, extra, message):
+    network, demand = fig5_files
+    extra = [demand if arg == "DEMAND" else arg for arg in extra]
+    assert main(["run", "--network", network, *extra]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error_class"] == "validation"
+    assert message in record["message"]
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--network" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("given", ["--network", "--demand"])
 def test_bench_needs_network_and_demand_together(fig5_files, capsys, given):
     network, demand = fig5_files

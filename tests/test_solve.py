@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import maas_market
 from maas_market import (LinearProgram, MixedIntegerProgram, solve, solve_lp,
@@ -50,6 +52,82 @@ def test_infeasible_and_unbounded_status():
     assert solve_lp(lp).status == "infeasible"
     lp2 = LinearProgram(num_vars=1, objective=[1.0], maximize=True)
     assert solve_lp(lp2).status == "unbounded"
+
+
+def _random_lp(rng):
+    """A small LP with mixed row senses and bounds, built around a feasible
+    point; maximised ones with free columns may be unbounded."""
+    n = rng.randint(1, 6)
+    point = [rng.uniform(-3, 3) for _ in range(n)]
+    bounds = []
+    for v in point:
+        lower = rng.choice([v - rng.uniform(0, 2), -math.inf])
+        upper = rng.choice([v + rng.uniform(0, 2), math.inf])
+        bounds.append((lower, upper))
+    lp = LinearProgram(num_vars=n, maximize=rng.random() < 0.5,
+                       objective=[rng.uniform(-3, 3) for _ in range(n)],
+                       bounds=bounds)
+    for _ in range(rng.randint(0, 6)):
+        coeffs = [(j, rng.uniform(-2, 2)) for j in sorted(rng.sample(range(n), rng.randint(1, n)))]
+        activity = sum(v * point[j] for j, v in coeffs)
+        sense = rng.choice([LE, GE, EQ])
+        slack = 0.0 if sense == EQ else rng.uniform(0, 1)
+        lp.add_row(coeffs, sense, activity + (slack if sense == LE else -slack))
+    return lp
+
+
+def _linprog_reference(lp):
+    """``lp`` solved by scipy's linprog: (status, objective, x, duals)."""
+    sign = -1.0 if lp.maximize else 1.0
+    ub = [(k, -1.0 if row.sense == GE else 1.0)
+          for k, row in enumerate(lp.rows) if row.sense != EQ]
+    eq = [k for k, row in enumerate(lp.rows) if row.sense == EQ]
+
+    def dense(rows, flips):
+        A = np.zeros((len(rows), lp.num_vars))
+        for r, (k, flip) in enumerate(zip(rows, flips)):
+            for j, v in lp.rows[k].coeffs:
+                A[r, j] += flip * v
+        return A
+
+    res = linprog(sign * np.array(lp.objective),
+                  A_ub=dense([k for k, _ in ub], [f for _, f in ub]) if ub else None,
+                  b_ub=[f * lp.rows[k].rhs for k, f in ub] if ub else None,
+                  A_eq=dense(eq, [1.0] * len(eq)) if eq else None,
+                  b_eq=[lp.rows[k].rhs for k in eq] if eq else None,
+                  bounds=lp.effective_bounds(), method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    if status != "optimal":
+        return status, None, None, None
+    duals = np.zeros(len(lp.rows))
+    for r, (k, flip) in enumerate(ub):
+        duals[k] = sign * flip * res.ineqlin.marginals[r]
+    for r, k in enumerate(eq):
+        duals[k] = sign * res.eqlin.marginals[r]
+    return status, sign * res.fun, res.x, duals
+
+
+def test_solve_lp_matches_linprog():
+    rng = random.Random(11)
+    lps = [_random_lp(rng) for _ in range(200)]
+    infeasible = LinearProgram(num_vars=2, objective=[1.0, 1.0])
+    infeasible.add_row([(0, 1.0), (1, 1.0)], GE, 3.0)
+    infeasible.add_row([(0, 1.0)], LE, 1.0)
+    infeasible.add_row([(1, 1.0)], EQ, 1.0)
+    unbounded = LinearProgram(num_vars=2, objective=[1.0, 2.0], maximize=True)
+    unbounded.add_row([(0, 1.0), (1, -1.0)], LE, 1.0)
+    statuses = []
+    for lp in lps + [infeasible, unbounded]:
+        status, objective, x, duals = _linprog_reference(lp)
+        result = solve_lp(lp)
+        assert result.status == status
+        statuses.append(status)
+        if status == "optimal":
+            assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(result.x, x, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(result.duals, duals, rtol=1e-9, atol=1e-9)
+    assert statuses[-2:] == ["infeasible", "unbounded"]
+    assert statuses.count("optimal") >= 100 and "unbounded" in statuses[:-2]
 
 
 def test_strong_duality_and_slackness():
@@ -152,6 +230,22 @@ def test_bundled_converts_its_model_once(monkeypatch):
     assert result.objective == pytest.approx(_brute_force(mip, n_bin, caps, demand),
                                              abs=1e-6)
     assert len(calls) == 1
+
+
+def test_bundled_passes_one_highs_model(monkeypatch):
+    models = []
+
+    class Counted(solve._Highs):
+        def passModel(self, model):
+            models.append(model)
+            return super().passModel(model)
+
+    monkeypatch.setattr(solve, "_Highs", Counted)
+    mip, n_bin, caps, demand = _random_fixed_charge(3)
+    result = solve_milp(mip, engine="bundled")
+    assert result.objective == pytest.approx(_brute_force(mip, n_bin, caps, demand),
+                                             abs=1e-6)
+    assert len(models) == 1
 
 
 def test_engine_resolution(monkeypatch):
