@@ -21,8 +21,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import InfeasibleMatchingError, SolveNumericalError
 from .network import DUMMY_OPERATOR, DemandTable, Network
 from .solve import EQ, LE, LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
@@ -160,6 +158,8 @@ def flow_lp(network: Network, demand: DemandTable, activations):
 
 
 def _diagnose_infeasible(network: Network, demand: DemandTable):
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(network.nodes)
     for link in network.links:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
-
 from .closedform import CoopCompeteInstance, SmallVsLargeInstance
 from .network import DemandEntry, DemandTable, Link, Network
 
@@ -38,6 +36,8 @@ def random_instance(
     tight_capacity: bool = True,
 ) -> tuple[Network, DemandTable]:
     """Small feasible instance with at most ``path_cap`` simple paths per OD."""
+    import networkx as nx
+
     rng = random.Random(seed)
     for attempt in range(200):
         n = rng.randint(5, max_nodes)

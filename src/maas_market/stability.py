@@ -13,17 +13,23 @@ takes, per nonempty subcoalition of the group's operators, the cheapest path
 avoiding it, so it never enumerates the path space, and keeps the strongest
 bound per variable set.  The enumeration oracle takes every simple path and
 keeps every row.
+
+Omega weights do not depend on the destination, so Algorithm 1 grows one
+Dijkstra tree per (origin, subcoalition) and reads every destination of that
+origin off it.  The optimal path sets come from one reverse Dijkstra per
+destination and a depth-first walk that only follows arcs which can still
+finish within the tie tolerance.  Both run on plain adjacency lists; networkx
+is imported only by the enumeration oracle and the CLI path listing.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from .errors import (PathCapExceeded, StabilityToleranceError,
-                     SubcoalitionCapExceeded)
+from .errors import (InfeasibleMatchingError, PathCapExceeded,
+                     StabilityToleranceError, SubcoalitionCapExceeded)
 from .matching import MatchingSolution, Path, PathFlowSolution
 from .network import DUMMY_OPERATOR, DemandTable, Network
 
@@ -45,7 +51,7 @@ def omega(nodes, network: Network, duals: dict, activations: dict) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathInfo:
     nodes: tuple[int, ...]
     travel_cost: float
@@ -54,7 +60,7 @@ class PathInfo:
     operators: frozenset[int]  # non-dummy owners on the path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimalPathSet:
     group: tuple[int, int]
     utility: float
@@ -67,7 +73,7 @@ class OptimalPathSet:
         return self.paths[0].omega_cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityRow:
     """u_s + sum of the listed price variables >= bound."""
 
@@ -116,15 +122,79 @@ class ConstraintSystem:
         return "\n".join(lines) + "\n"
 
 
-def _omega_graph(network: Network, duals, activations) -> nx.DiGraph:
+def _omega_weight(link, duals, activations) -> float:
+    operated = activations.get(link.arc, 0) >= 0.5
+    return link.travel_cost + duals.get(link.arc, 0.0) \
+        + (0.0 if operated else link.operating_cost)
+
+
+def _omega_arcs(network: Network, duals, activations) -> dict:
+    """Successor lists ``node -> [(head, weight, owner)]`` in link order."""
+    succ = {node: [] for node in network.nodes}
+    for link in network.links:
+        succ[link.tail].append(
+            (link.head, _omega_weight(link, duals, activations), link.owner))
+    return succ
+
+
+def _omega_graph(network: Network, duals, activations):
+    """The omega-weighted network as a networkx graph, for the oracle."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(network.nodes)
     for link in network.links:
-        operated = activations.get(link.arc, 0) >= 0.5
-        weight = link.travel_cost + duals.get(link.arc, 0.0) \
-            + (0.0 if operated else link.operating_cost)
-        graph.add_edge(link.tail, link.head, weight=weight, owner=link.owner)
+        graph.add_edge(link.tail, link.head,
+                       weight=_omega_weight(link, duals, activations),
+                       owner=link.owner)
     return graph
+
+
+def _distances_to(pred, destination) -> dict:
+    """Omega distance to ``destination`` from every node that reaches it,
+    over predecessor lists ``node -> [(tail, weight)]``."""
+    dist = {}
+    fringe = [(0.0, destination)]
+    while fringe:
+        d, v = heapq.heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = d
+        for u, weight in pred[v]:
+            if u not in dist:
+                heapq.heappush(fringe, (d + weight, u))
+    return dist
+
+
+def _near_shortest_paths(succ, back, origin, destination):
+    """Every simple path whose omega is within ``2 * TIE_TOL`` of the
+    shortest, by a depth-first walk that follows an arc only when the
+    distance ``back`` from its head can still finish within that bound."""
+    limit = back[origin] + 2 * TIE_TOL
+    path, on_path = [origin], {origin}
+    stack = [(0.0, iter(succ[origin]))]
+    while stack:
+        cost, arcs = stack[-1]
+        for head, weight, _ in arcs:
+            if head in on_path or head not in back \
+                    or cost + weight + back[head] > limit:
+                continue
+            if head == destination:
+                yield (*path, head)
+                continue
+            path.append(head)
+            on_path.add(head)
+            stack.append((cost + weight, iter(succ[head])))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+
+
+def _tied(found):
+    """The (omega, nodes) pairs within ``TIE_TOL`` of the least omega."""
+    best = min(value for value, _ in found)
+    return [(value, nodes) for value, nodes in found if value <= best + TIE_TOL]
 
 
 def optimal_path_sets(
@@ -134,42 +204,52 @@ def optimal_path_sets(
     activations: dict,
     decomposition: PathFlowSolution,
 ) -> dict:
-    """Omega-minimal path set per group, enumerating ties up to ``TIE_CAP``."""
-    graph = _omega_graph(network, duals, activations)
+    """Omega-minimal path set per group: every simple path within
+    ``TIE_TOL`` of the cheapest, at most ``TIE_CAP`` of them."""
+    succ = _omega_arcs(network, duals, activations)
+    pred = {node: [] for node in succ}
+    for tail, arcs in succ.items():
+        for head, weight, _ in arcs:
+            pred[head].append((tail, weight))
     support = {}
     for path, z in decomposition.path_flows:
         support.setdefault(path.group, {})[path.nodes] = z
-    sets = {}
+    back_to, operator_sets, sets = {}, {}, {}
     for entry in demand.entries:
-        flows = support.get(entry.od, {})
-        infos = []
-        for count, nodes in enumerate(
-                nx.shortest_simple_paths(graph, entry.origin, entry.destination,
-                                         weight="weight")):
-            if count >= TIE_CAP:
+        od = entry.od  # one tuple per group, shared by everything built for it
+        if entry.destination not in back_to:
+            back_to[entry.destination] = _distances_to(pred, entry.destination)
+        back = back_to[entry.destination]
+        if entry.origin not in back:
+            raise InfeasibleMatchingError(f"no path exists for OD {od}",
+                                          offending_ods=(od,))
+        found = []
+        for nodes in _near_shortest_paths(succ, back, *od):
+            found.append((omega(nodes, network, duals, activations), nodes))
+            if len(found) > TIE_CAP and len(_tied(found)) > TIE_CAP:
                 raise PathCapExceeded(
-                    f"more than {TIE_CAP} tied optimal paths for OD {entry.od}")
-            value = omega(nodes, network, duals, activations)
-            if infos and value > infos[0].omega_cost + TIE_TOL:
-                break
-            path = Path(entry.od, tuple(nodes))
-            infos.append(PathInfo(nodes=path.nodes,
-                                  travel_cost=path.travel_cost(network),
-                                  omega_cost=value,
-                                  flow=flows.get(path.nodes, 0.0),
-                                  operators=path.operators(network)))
-        best = infos[0].omega_cost
+                    f"more than {TIE_CAP} tied optimal paths for OD {od}")
+        flows = support.get(od, {})
+        infos = []
+        for value, nodes in sorted(_tied(found), key=lambda pair: pair[1]):
+            path = Path(od, nodes)
+            operators = path.operators(network)
+            infos.append(PathInfo(
+                nodes=nodes, travel_cost=path.travel_cost(network),
+                omega_cost=value, flow=flows.get(nodes, 0.0),
+                operators=operator_sets.setdefault(operators, operators)))
+        best = min(info.omega_cost for info in infos)
         for nodes in flows.keys() - {info.nodes for info in infos}:
             value = omega(nodes, network, duals, activations)
             if value > best + TIE_TOL:
                 raise StabilityToleranceError(
-                    f"flow-carrying path {nodes} for OD {entry.od} has deviation "
+                    f"flow-carrying path {nodes} for OD {od} has deviation "
                     f"cost {value}, above the minimum {best}")
-        infos.sort(key=lambda info: info.nodes)
-        sets[entry.od] = OptimalPathSet(
-            group=entry.od, utility=entry.utility, demand=entry.demand,
+        union = frozenset().union(*(info.operators for info in infos))
+        sets[od] = OptimalPathSet(
+            group=od, utility=entry.utility, demand=entry.demand,
             paths=tuple(infos),
-            operators=frozenset().union(*(i.operators for i in infos)))
+            operators=operator_sets.setdefault(union, union))
     return sets
 
 
@@ -187,23 +267,49 @@ def subcoalitions(operators):
     return out
 
 
-def excluded_shortest_path(graph: nx.DiGraph, od, pi) -> tuple | None:
-    """Cheapest deviation path using no link owned by the given operators."""
-    banned = set(pi)
+def _shortest_path_tree(succ, origin, banned) -> dict:
+    """Dijkstra from ``origin`` over the arcs no operator in ``banned`` owns,
+    as a parent map: every reached node to its predecessor, ``origin`` to None.
 
-    def keep(u, v):
-        return graph[u][v]["owner"] not in banned
+    The search is networkx's ``_dijkstra_multisource`` step for step: a heap
+    of (distance, counter, node), a node is final when popped, and only a
+    strictly shorter distance relaxes an arc.  So the tree path to each node
+    is the one ``nx.dijkstra_path`` returns on the filtered graph; a search
+    for one target stops when it pops the target, whose path is final then.
+    """
+    counter = itertools.count()
+    parent, seen, done = {origin: None}, {origin: 0}, set()
+    fringe = [(0, next(counter), origin)]
+    while fringe:
+        dist, _, v = heapq.heappop(fringe)
+        if v in done:
+            continue
+        done.add(v)
+        for u, weight, owner in succ[v]:
+            if owner in banned or u in done:
+                continue
+            reach = dist + weight
+            if u not in seen or reach < seen[u]:
+                seen[u] = reach
+                heapq.heappush(fringe, (reach, next(counter), u))
+                parent[u] = v
+    return parent
 
-    view = nx.subgraph_view(graph, filter_edge=keep)
-    try:
-        nodes = nx.dijkstra_path(view, od[0], od[1], weight="weight")
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+
+def _tree_path(parent, target) -> tuple | None:
+    """The path from the root of ``_shortest_path_tree`` to ``target``."""
+    if target not in parent:
         return None
-    return tuple(nodes)
+    nodes = [target]
+    while (v := parent[nodes[-1]]) is not None:
+        nodes.append(v)
+    return tuple(reversed(nodes))
 
 
-def simple_paths(graph: nx.DiGraph, od, cap: int):
+def simple_paths(graph, od, cap: int):
     """Every simple path of a group, raising ``PathCapExceeded`` past ``cap``."""
+    import networkx as nx
+
     for count, nodes in enumerate(nx.all_simple_paths(graph, *od), start=1):
         if count > cap:
             raise PathCapExceeded(f"OD {od} exceeds the {cap} simple-path cap")
@@ -229,24 +335,28 @@ def _build_covers(network: Network, activations, path_sets, subsidies=None):
 
 def _generate(network, demand, matching, decomposition, subsidies,
               alternatives):
-    """Path sets, covers and raw stability rows, with each group's
-    alternative paths drawn from ``alternatives(graph, od, path_set)``."""
+    """Path sets, covers and raw stability rows.  ``alternatives(network,
+    duals, activations)`` returns the function ``(od, path_set) -> paths``
+    that gives each group's alternative paths."""
     duals, activations = decomposition.duals, matching.activations
     path_sets = optimal_path_sets(network, demand, duals, activations,
                                   decomposition)
-    graph = _omega_graph(network, duals, activations)
+    alternatives_of = alternatives(network, duals, activations)
     rows = []
     for od in sorted(path_sets):
         pset = path_sets[od]
-        for alt in alternatives(graph, od, pset):
+        # one (nodes, operator) term per price variable, shared by its rows
+        anchors = [(info.operators, {f: (info.nodes, f) for f in info.operators})
+                   for info in pset.paths]
+        # a path that avoids several subcoalitions would repeat its rows
+        for alt in dict.fromkeys(alternatives_of(od, pset)):
             alt_omega = omega(alt, network, duals, activations)
             if alt_omega <= pset.omega_value + TIE_TOL:
                 continue  # an omega-tied path belongs to the optimal set
             alt_ops = Path(od, alt).operators(network)
             bound = pset.utility - alt_omega
-            for info in pset.paths:
-                shared = info.operators & alt_ops
-                terms = tuple(sorted((info.nodes, f) for f in shared))
+            for operators, term in anchors:
+                terms = tuple(term[f] for f in sorted(operators & alt_ops))
                 rows.append(StabilityRow(group=od, terms=terms, bound=bound))
     covers = _build_covers(network, activations, path_sets, subsidies)
     return path_sets, covers, rows
@@ -264,6 +374,24 @@ def _dedup_rows(rows):
     return list(best.values())
 
 
+def _excluded_paths(network, duals, activations):
+    """Per group and subcoalition, the cheapest path avoiding it, read off
+    one tree per (origin, subcoalition)."""
+    succ = _omega_arcs(network, duals, activations)
+    trees = {}
+
+    def alternatives(od, pset):
+        for pi in subcoalitions(pset.operators):
+            key = (od[0], pi)
+            if key not in trees:
+                trees[key] = _shortest_path_tree(succ, od[0], frozenset(pi))
+            alt = _tree_path(trees[key], od[1])
+            if alt is not None:
+                yield alt
+
+    return alternatives
+
+
 def generate_constraints_algorithm1(
     network: Network,
     demand: DemandTable,
@@ -274,16 +402,9 @@ def generate_constraints_algorithm1(
     """Algorithm 1: per group, one alternative per nonempty subcoalition of
     its operators, the cheapest path avoiding that subcoalition; rows over
     the same variables keep the strongest bound."""
-
-    def excluded_paths(graph, od, pset):
-        for pi in subcoalitions(pset.operators):
-            alt = excluded_shortest_path(graph, od, pi)
-            if alt is not None:
-                yield alt
-
     path_sets, covers, rows = _generate(network, demand, matching,
                                         decomposition, subsidies,
-                                        excluded_paths)
+                                        _excluded_paths)
     return ConstraintSystem(groups=path_sets, covers=covers,
                             stability_rows=_dedup_rows(rows))
 
@@ -298,8 +419,13 @@ def generate_constraints_enumeration(
 ) -> ConstraintSystem:
     """Oracle generator: every simple path of a group is an alternative, and
     every (alternative, anchor) pair keeps its row."""
-    path_sets, covers, rows = _generate(
-        network, demand, matching, decomposition, subsidies,
-        lambda graph, od, pset: simple_paths(graph, od, path_cap))
+
+    def every_simple_path(network, duals, activations):
+        graph = _omega_graph(network, duals, activations)
+        return lambda od, pset: simple_paths(graph, od, path_cap)
+
+    path_sets, covers, rows = _generate(network, demand, matching,
+                                        decomposition, subsidies,
+                                        every_simple_path)
     return ConstraintSystem(groups=path_sets, covers=covers,
                             stability_rows=sorted(rows, key=_row_order))

@@ -1,12 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
 import pytest
 
+import maas_market
 from maas_market import (DemandEntry, DemandTable, Link, Network,
-                         ObjectivePolicy, build_outcome_lp, omega,
+                         ObjectivePolicy, PathFlowSolution, build_outcome_lp,
+                         build_sioux_falls, fig5, omega, optimal_path_sets,
                          solve_outcome, subcoalitions)
-from maas_market.errors import SubcoalitionCapExceeded
+from maas_market import stability
+from maas_market.errors import (InfeasibleMatchingError, PathCapExceeded,
+                                SubcoalitionCapExceeded)
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
-from maas_market.stability import (_omega_graph, excluded_shortest_path,
+from maas_market.stability import (TIE_TOL, _omega_arcs, _omega_graph,
+                                   _shortest_path_tree, _tree_path,
                                    generate_constraints_enumeration)
 from conftest import pipeline_artifacts
 
@@ -64,16 +75,146 @@ def test_subcoalition_cap():
         subcoalitions({0, 1})
 
 
+def _excluded_path(succ, od, pi):
+    return _tree_path(_shortest_path_tree(succ, od[0], frozenset(pi)), od[1])
+
+
 def test_excluded_shortest_path_fig5(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, duals = fig5_pipeline[0], fig5_pipeline[1]
-    graph = _omega_graph(network, duals, matching.activations)
+    succ = _omega_arcs(network, duals, matching.activations)
     # excluding operator A disconnects (1,3): the detour entry is A's too
-    assert excluded_shortest_path(graph, (1, 3), (1,)) is None
-    alt = excluded_shortest_path(graph, (1, 4), (1, 3, 4))
+    assert _excluded_path(succ, (1, 3), (1,)) is None
+    alt = _excluded_path(succ, (1, 4), (1, 3, 4))
     assert alt == (1, 5, 4)
     all_ops = tuple(sorted(f for f in network.operators))
-    assert excluded_shortest_path(graph, (1, 4), all_ops) is None
+    assert _excluded_path(succ, (1, 4), all_ops) is None
+
+
+def networkx_excluded_path(graph, od, pi):
+    """Reference: ``nx.dijkstra_path`` on the view without pi's links."""
+    banned = set(pi)
+    view = nx.subgraph_view(
+        graph, filter_edge=lambda u, v: graph[u][v]["owner"] not in banned)
+    try:
+        return tuple(nx.dijkstra_path(view, od[0], od[1], weight="weight"))
+    except (nx.NetworkXNoPath, nx.NodeNotFound):
+        return None
+
+
+def yen_optimal_paths(graph, od, network, duals, activations):
+    """Reference: walk Yen's k-shortest simple paths until the first one
+    above the first path's omega plus ``TIE_TOL``; (nodes, omega) sorted."""
+    found = []
+    for nodes in nx.shortest_simple_paths(graph, *od, weight="weight"):
+        value = omega(nodes, network, duals, activations)
+        if found and value > found[0][1] + TIE_TOL:
+            break
+        found.append((tuple(nodes), value))
+    return sorted(found)
+
+
+@pytest.fixture(scope="module")
+def reference_instances():
+    """fig5, Sioux Falls (10/3, transfer cost 2) and random_instance(0..199)
+    with their matchings and decompositions."""
+    instances = [fig5(), build_sioux_falls(transfer_cost=2.0,
+                                           capacity_scale=10 / 3)]
+    instances += [random_instance(seed) for seed in range(200)]
+    out = []
+    for network, demand in instances:
+        matching, _, decomposition, _ = pipeline_artifacts(network, demand)
+        out.append((network, demand, matching, decomposition))
+    return out
+
+
+def test_tree_paths_equal_networkx_dijkstra(reference_instances):
+    checked = 0
+    for network, demand, matching, decomposition in reference_instances:
+        duals, activations = decomposition.duals, matching.activations
+        succ = _omega_arcs(network, duals, activations)
+        graph = _omega_graph(network, duals, activations)
+        owners = network.operators - {0}
+        for entry in demand.entries:
+            for pi in [()] + subcoalitions(owners):
+                assert _excluded_path(succ, entry.od, pi) == \
+                    networkx_excluded_path(graph, entry.od, pi), (entry.od, pi)
+                checked += 1
+    assert checked > 2000
+
+
+def test_optimal_path_sets_equal_yen_walk(reference_instances):
+    ties = 0
+    for network, demand, matching, decomposition in reference_instances:
+        duals, activations = decomposition.duals, matching.activations
+        graph = _omega_graph(network, duals, activations)
+        sets = optimal_path_sets(network, demand, duals, activations,
+                                 decomposition)
+        for entry in demand.entries:
+            got = [(i.nodes, i.omega_cost) for i in sets[entry.od].paths]
+            assert got == yen_optimal_paths(graph, entry.od, network, duals,
+                                            activations), entry.od
+            ties += len(got) > 1
+    assert ties > 0
+
+
+def _parallel_paths(count):
+    """``count`` tied two-link paths 1-k-2 of cost 2, plus a direct link of
+    cost 5."""
+    links = [Link(1, 2, travel_cost=5, operating_cost=0, capacity=10, owner=1)]
+    for k in range(3, 3 + count):
+        links += [Link(1, k, travel_cost=1, operating_cost=0, capacity=10, owner=1),
+                  Link(k, 2, travel_cost=1, operating_cost=0, capacity=10, owner=1)]
+    network = Network(nodes=frozenset({1, 2, *range(3, 3 + count)}),
+                      links=tuple(sorted(links, key=lambda l: l.arc)))
+    demand = DemandTable(entries=(DemandEntry(1, 2, 5, 10),))
+    activations = {link.arc: 1 for link in network.links}
+    return network, demand, activations, PathFlowSolution(path_flows=[], duals={})
+
+
+def test_tie_cap_counts_tied_paths_only(monkeypatch):
+    monkeypatch.setattr(stability, "TIE_CAP", 4)
+    network, demand, activations, decomposition = _parallel_paths(4)
+    sets = optimal_path_sets(network, demand, {}, activations, decomposition)
+    assert [i.nodes for i in sets[(1, 2)].paths] == \
+        [(1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 6, 2)]
+    network, demand, activations, decomposition = _parallel_paths(5)
+    with pytest.raises(PathCapExceeded, match="more than 4 tied"):
+        optimal_path_sets(network, demand, {}, activations, decomposition)
+
+
+def test_unroutable_od_raises_infeasible_matching():
+    links = (Link(1, 2, travel_cost=1, operating_cost=0, capacity=10, owner=1),
+             Link(3, 1, travel_cost=1, operating_cost=0, capacity=10, owner=1))
+    network = Network(nodes=frozenset({1, 2, 3}), links=links)
+    demand = DemandTable(entries=(DemandEntry(1, 2, 5, 10),
+                                  DemandEntry(1, 3, 5, 10)))
+    with pytest.raises(InfeasibleMatchingError) as info:
+        optimal_path_sets(network, demand, {}, {(1, 2): 1, (3, 1): 1},
+                          PathFlowSolution(path_flows=[], duals={}))
+    assert info.value.offending_ods == ((1, 3),)
+
+
+def test_algorithm1_runs_without_networkx():
+    script = "\n".join((
+        "import sys",
+        "import maas_market as mm",
+        "from maas_market.cli import run_pipeline",
+        "network, demand = mm.fig5()",
+        "result = run_pipeline(network, demand, mm.PolicyAnnotations())",
+        "assert result['outcomes']['seller'].status == 'optimal'",
+        "assert 'networkx' not in sys.modules, 'Algorithm 1 loaded networkx'",
+        "oracle = mm.generate_constraints_enumeration(",
+        "    network, demand, result['matching'], result['decomposition'])",
+        "assert 'networkx' in sys.modules",
+        "assert len(oracle.stability_rows) > len(result['system'].stability_rows)",
+    ))
+    src = str(Path(maas_market.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_fig5_lexicographic_system_exact(fig5_pipeline):
