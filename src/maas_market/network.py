@@ -94,8 +94,9 @@ class DemandEntry:
     demand: float
     utility: float
 
-    @property
+    @cached_property
     def od(self) -> tuple[int, int]:
+        # one tuple per entry, shared by every model and system keyed on it
         return (self.origin, self.destination)
 
     def validate(self) -> None:

@@ -6,6 +6,15 @@ variable.  Solving a vertex happens in two stages: the requested objective
 first, then a lexicographic re-optimization of operator revenues (ascending
 operator id, previous optima pinned) so the reported split is canonical even
 when the vertex is degenerate.
+
+The pins are exact ``=`` rows.  Each tie-break stage is one ``solve_lp``
+call that re-solves warm on the primary solve's HiGHS handle: it adds the
+pin of the stage before and swaps in the next operator's revenue as the
+objective.  The optimal basis of the stage before satisfies the new pin,
+so the primal simplex starts from a feasible basis; only the model's
+first solve is cold.  Where revenues tie, prices are not unique, and a
+warm stage may stop at another optimal price split than a cold one would;
+revenues and the objective do not move.
 """
 
 from __future__ import annotations
@@ -191,21 +200,24 @@ def solve_outcome(
     objective = result.objective
     x = result.x
     if tie_break:
-        x = _lexicographic_revenue_tiebreak(model, objective, x)
+        x = _lexicographic_revenue_tiebreak(model, result)
     return _assemble_outcome(model, objective, x, matching, network)
 
 
-def _lexicographic_revenue_tiebreak(model, primary_value, x):
+def _lexicographic_revenue_tiebreak(model, primary):
     """Pin the primary objective, then maximize each operator's revenue in
     ascending id order, pinning each optimum before moving on.
 
-    ``x`` is the primary solution, returned as is when no operator earns
-    revenue.  The pins go on a copy of the rows, so ``model`` is unchanged.
+    ``primary`` is the optimal result of ``model.lp``; each stage re-solves
+    warm from the stage before.  Returns the last stage's solution, or the
+    primary one when no operator earns revenue.  The pins go on a copy of
+    the rows, so ``model`` is unchanged.
     """
     lp = model.lp
     stage = replace(lp, rows=list(lp.rows))
-    primary = [(i, v) for i, v in enumerate(lp.objective) if v != 0]
-    stage.add_row(primary, EQ, primary_value)
+    stage.add_row([(i, v) for i, v in enumerate(lp.objective) if v != 0],
+                  EQ, primary.objective)
+    result = primary
     for f in sorted(model.system.covers):
         coeffs = [(col, model.flows.get((od, nodes), 0.0))
                   for (od, nodes, g), col in model.p_index.items() if g == f]
@@ -215,13 +227,12 @@ def _lexicographic_revenue_tiebreak(model, primary_value, x):
         stage.objective = [0.0] * lp.num_vars
         for c, v in coeffs:
             stage.objective[c] = v
-        result = solve_lp(stage)
+        result = solve_lp(stage, warm=result)
         if result.status != "optimal":
             raise SolveNumericalError(
                 f"revenue tie-break stage for operator {f}: {result.status}")
-        x = result.x
         stage.add_row(coeffs, EQ, result.objective)
-    return x
+    return result.x
 
 
 def _assemble_outcome(model, objective, x, matching, network):

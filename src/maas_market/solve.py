@@ -13,7 +13,16 @@ Two interchangeable engines solve mixed-integer programs:
   with a relative gap of zero.
 
 Pure LPs go through the same handle builder: one cold HiGHS solve, whose
-row duals are read from the solution.  No solve goes through
+row duals are read from the solution.  An optimal LP result keeps its
+handle, so a later LP over the same columns whose rows extend the solved
+ones can re-solve warm (``solve_lp(lp, warm=result)``): only the new rows
+are added and the objective replaced, and HiGHS starts from the optimal
+basis already on the handle.  That basis stays primal feasible when the
+new rows hold at the old optimum -- a row pinning the old objective to its
+optimal value does -- and only the new objective makes it non-optimal, so
+the warm solve runs the primal simplex.  The dual simplex, which suits a
+cold solve, would first have to repair the dual infeasibility the new
+objective causes.  No solve goes through
 :func:`scipy.optimize.linprog`.  The handle is the private binding
 ``scipy.optimize._highspy._core._Highs`` (HiGHS 1.12.0 in scipy 1.17), on
 which ``linprog`` and ``milp`` are built; a scipy without it fails at import.
@@ -112,6 +121,21 @@ class SolveResult:
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None  # per row, d(obj)/d(rhs), LPs only
+    # the solved HiGHS handle of an optimal LP, until a warm solve takes it
+    handle: _Handle | None = field(default=None, repr=False, compare=False)
+
+
+@dataclass
+class _Handle:
+    """A HiGHS handle holding an LP in ``_to_scipy`` form, and that form's
+    map back to the LP: per handle row its LP row and sign flip."""
+
+    highs: _Highs
+    lp_rows: np.ndarray              # LP row index of each handle row
+    flips: np.ndarray                # -1 where the handle negated a >= row
+    sign: float                      # -1 when the LP maximizes
+    rows: tuple = ()                 # the LP rows on the handle, in LP order
+    shape: tuple = ()                # the LP's (num_vars, maximize, bounds)
 
 
 def _to_scipy(lp: LinearProgram):
@@ -140,9 +164,9 @@ def _to_scipy(lp: LinearProgram):
         np.array(b_eq, dtype=float), map_ub, map_eq, sign
 
 
-def _highs_handle(lp: LinearProgram, bounds):
+def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
     """A HiGHS handle holding ``lp`` in ``_to_scipy`` form with column
-    ``bounds`` (an (n, 2) array), and the row maps and sign of that form."""
+    ``bounds`` (an (n, 2) array)."""
     c, A_ub, b_ub, A_eq, b_eq, map_ub, map_eq, sign = _to_scipy(lp)
     blocks = [A for A in (A_ub, A_eq) if A is not None]
     A = sp.vstack(blocks).tocsc() if blocks else sp.csc_matrix((0, lp.num_vars))
@@ -162,7 +186,10 @@ def _highs_handle(lp: LinearProgram, bounds):
     highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as linprog sets
     highs.setOptionValue("output_flag", False)
     highs.passModel(model)
-    return highs, map_ub, map_eq, sign
+    return _Handle(highs=highs,
+                   lp_rows=np.array([k for k, _ in map_ub] + map_eq, dtype=int),
+                   flips=np.array([f for _, f in map_ub] + [1.0] * len(map_eq)),
+                   sign=sign)
 
 
 def _run(highs) -> str:
@@ -175,26 +202,70 @@ def _run(highs) -> str:
     return _LP_STATUS[status]
 
 
-def solve_lp(lp: LinearProgram) -> SolveResult:
-    """Solve a pure LP to an optimal basic solution with row duals."""
-    if lp.num_vars == 0:
+def _extend(lp: LinearProgram, warm: SolveResult) -> _Handle:
+    """Take ``warm``'s handle and add the rows of ``lp`` past the solved
+    ones, as given (no sign flip), with ``lp``'s objective in place of the
+    old one."""
+    handle = warm.handle
+    if handle is None:
+        raise ValueError("warm start needs an optimal LP result whose "
+                         "handle no later solve has taken")
+    solved = handle.rows
+    if ((lp.num_vars, lp.maximize, lp.bounds) != handle.shape
+            or len(lp.rows) < len(solved)
+            or not all(a is b or a == b for a, b in zip(lp.rows, solved))):
+        raise ValueError("warm start needs the same columns, sense and bounds, "
+                         "and the solved rows as a prefix of the rows")
+    warm.handle = None
+    new = lp.rows[len(solved):]
+    if new:
+        lower = [row.rhs if row.sense != LE else -math.inf for row in new]
+        upper = [row.rhs if row.sense != GE else math.inf for row in new]
+        starts = np.cumsum([0] + [len(row.coeffs) for row in new[:-1]])
+        indices = [idx for row in new for idx, _ in row.coeffs]
+        values = [val for row in new for _, val in row.coeffs]
+        handle.highs.addRows(len(new), np.array(lower), np.array(upper),
+                             len(indices), starts.astype(np.int32),
+                             np.array(indices, dtype=np.int32),
+                             np.array(values, dtype=float))
+        handle.lp_rows = np.concatenate(
+            (handle.lp_rows, np.arange(len(solved), len(lp.rows))))
+        handle.flips = np.concatenate((handle.flips, np.ones(len(new))))
+    handle.highs.changeColsCost(
+        lp.num_vars, np.arange(lp.num_vars, dtype=np.int32),
+        handle.sign * np.asarray(lp.objective, dtype=float))
+    handle.highs.setOptionValue("simplex_strategy", 4)  # primal simplex
+    return handle
+
+
+def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
+    """Solve a pure LP to an optimal basic solution with row duals.
+
+    ``warm``, an earlier optimal result of this function, hands its HiGHS
+    handle to this solve: ``lp`` must have the same columns, sense and
+    bounds, and the rows that result solved as a prefix of its own rows,
+    else ``ValueError``.  Only the rows past that prefix are added and the
+    objective replaced; the primal simplex re-solves from the handle's
+    optimal basis.  A result can warm-start one later solve only.
+    """
+    if lp.num_vars == 0 and warm is None:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
-    highs, map_ub, map_eq, sign = _highs_handle(
-        lp, np.array(lp.effective_bounds(), dtype=float))
+    if warm is None:
+        handle = _highs_handle(lp, np.array(lp.effective_bounds(), dtype=float))
+    else:
+        handle = _extend(lp, warm)
+    highs = handle.highs
     status = _run(highs)
     if status != "optimal":
         return SolveResult(status=status)
     solution = highs.getSolution()
-    marg = solution.row_dual
     duals = np.zeros(len(lp.rows))
-    for r, (k, flip) in enumerate(map_ub):
-        duals[k] = sign * flip * marg[r]
-    for r, k in enumerate(map_eq, start=len(map_ub)):
-        duals[k] = sign * marg[r]
+    duals[handle.lp_rows] = handle.sign * handle.flips * np.asarray(solution.row_dual)
+    handle.rows, handle.shape = tuple(lp.rows), (lp.num_vars, lp.maximize, lp.bounds)
     return SolveResult(status="optimal", x=np.array(solution.col_value),
-                       objective=sign * highs.getInfo().objective_function_value,
-                       duals=duals)
+                       objective=handle.sign * highs.getInfo().objective_function_value,
+                       duals=duals, handle=handle)
 
 
 def solve_milp(mip: MixedIntegerProgram, engine: str | None = None) -> SolveResult:
@@ -263,7 +334,8 @@ def _solve_milp_bundled(mip):
     lp = mip.lp
     bounds = _binary_bounds(mip)
     binaries = sorted(mip.binary_vars)
-    highs, _, _, sign = _highs_handle(lp, bounds)
+    handle = _highs_handle(lp, bounds)
+    highs, sign = handle.highs, handle.sign
     cols = np.array(binaries, dtype=np.int32)
 
     def solved():

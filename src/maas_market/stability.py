@@ -211,9 +211,9 @@ def optimal_path_sets(
     for tail, arcs in succ.items():
         for head, weight, _ in arcs:
             pred[head].append((tail, weight))
-    support = {}
+    support = {}  # od -> {nodes: (the decomposition's nodes, z)}
     for path, z in decomposition.path_flows:
-        support.setdefault(path.group, {})[path.nodes] = z
+        support.setdefault(path.group, {})[path.nodes] = (path.nodes, z)
     back_to, operator_sets, sets = {}, {}, {}
     for entry in demand.entries:
         od = entry.od  # one tuple per group, shared by everything built for it
@@ -232,11 +232,13 @@ def optimal_path_sets(
         flows = support.get(od, {})
         infos = []
         for value, nodes in sorted(_tied(found), key=lambda pair: pair[1]):
+            # a flow-carrying path keeps the decomposition's node tuple
+            nodes, z = flows.get(nodes, (nodes, 0.0))
             path = Path(od, nodes)
             operators = path.operators(network)
             infos.append(PathInfo(
                 nodes=nodes, travel_cost=path.travel_cost(network),
-                omega_cost=value, flow=flows.get(nodes, 0.0),
+                omega_cost=value, flow=z,
                 operators=operator_sets.setdefault(operators, operators)))
         best = min(info.omega_cost for info in infos)
         for nodes in flows.keys() - {info.nodes for info in infos}:
@@ -318,18 +320,19 @@ def simple_paths(graph, od, cap: int):
 
 def _build_covers(network: Network, activations, path_sets, subsidies=None):
     subsidies = subsidies or {}
+    terms = {f: [] for f in sorted(network.operators) if f != DUMMY_OPERATOR}
+    for od in sorted(path_sets):
+        for info in path_sets[od].paths:
+            term = (od, info.nodes, info.flow)  # shared by its operators' covers
+            for f in info.operators:
+                terms[f].append(term)
     covers = {}
-    for f in sorted(network.operators):
-        if f == DUMMY_OPERATOR:
-            continue
+    for f, cover in terms.items():
         rhs = sum((link.operating_cost - subsidies.get(link.arc, 0.0))
                   for link in network.operator_links(f)
                   if activations.get(link.arc, 0) >= 0.5)
-        terms = [(od, info.nodes, info.flow)
-                 for od in sorted(path_sets)
-                 for info in path_sets[od].paths if f in info.operators]
-        if terms or rhs > 0:
-            covers[f] = (terms, rhs)
+        if cover or rhs > 0:
+            covers[f] = (cover, rhs)
     return covers
 
 

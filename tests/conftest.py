@@ -1,7 +1,8 @@
 import pytest
 
-from maas_market import (decompose_flows, extract_duals, fig5,
-                         generate_constraints_algorithm1, solve_matching)
+from maas_market import (build_sioux_falls, decompose_flows, extract_duals,
+                         fig5, generate_constraints_algorithm1, solve_matching)
+from maas_market.randnet import random_instance
 
 
 def pipeline_artifacts(network, demand, subsidies=None):
@@ -23,3 +24,17 @@ def fig5_instance():
 def fig5_pipeline(fig5_instance):
     network, demand = fig5_instance
     return pipeline_artifacts(network, demand)
+
+
+@pytest.fixture(scope="session")
+def reference_instances():
+    """fig5, Sioux Falls (10/3, transfer cost 2) and random_instance(0..199),
+    each as (network, demand, matching, decomposition, system)."""
+    instances = [fig5(), build_sioux_falls(transfer_cost=2.0,
+                                           capacity_scale=10 / 3)]
+    instances += [random_instance(seed) for seed in range(200)]
+    out = []
+    for network, demand in instances:
+        matching, _, decomposition, system = pipeline_artifacts(network, demand)
+        out.append((network, demand, matching, decomposition, system))
+    return out

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from maas_market import (DemandEntry, DemandTable, Link, Network,
-                         ObjectivePolicy, OutcomeOptions, build_outcome_lp,
-                         check_core_nonempty, report, solve_outcome)
+                         ObjectivePolicy, OutcomeOptions, Scenario,
+                         apply_scenario, build_outcome_lp, build_sioux_falls,
+                         check_core_nonempty, outcomes, report, solve_lp,
+                         solve_outcome)
+from maas_market.errors import SolveNumericalError
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
+from maas_market.scenario import SetCapacity
+from maas_market.solve import EQ
 from conftest import pipeline_artifacts
 
 
@@ -84,6 +91,82 @@ def test_solve_outcome_leaves_model_unchanged(fig5_pipeline):
     second = solve_outcome(model)
     assert len(model.lp.rows) == rows
     assert second.prices == first.prices
+
+
+def _cold_tiebreak(model, primary_value, x):
+    """The revenue tie-break with one cold solve per stage, as it was before
+    stages re-solved warm on the primary solve's handle."""
+    lp = model.lp
+    stage = replace(lp, rows=list(lp.rows))
+    primary = [(i, v) for i, v in enumerate(lp.objective) if v != 0]
+    stage.add_row(primary, EQ, primary_value)
+    for f in sorted(model.system.covers):
+        coeffs = [(col, model.flows.get((od, nodes), 0.0))
+                  for (od, nodes, g), col in model.p_index.items() if g == f]
+        coeffs = [(c, v) for c, v in coeffs if v != 0]
+        if not coeffs:
+            continue
+        stage.objective = [0.0] * lp.num_vars
+        for c, v in coeffs:
+            stage.objective[c] = v
+        result = solve_lp(stage)
+        if result.status != "optimal":
+            raise SolveNumericalError(
+                f"revenue tie-break stage for operator {f}: {result.status}")
+        x = result.x
+        stage.add_row(coeffs, EQ, result.objective)
+    return x
+
+
+@pytest.fixture(scope="module")
+def sioux_falls_cut():
+    """Sioux Falls (10/3) with every service link cut to 0.6x capacity."""
+    network, demand = build_sioux_falls(transfer_cost=2.0, capacity_scale=10 / 3)
+    cut = Scenario(edits=tuple(
+        SetCapacity(arc=link.arc, capacity=link.capacity * 0.6)
+        for link in network.links if link.owner != 0))
+    network, demand, _ = apply_scenario(network, demand, cut)
+    matching, _, decomposition, system = pipeline_artifacts(network, demand)
+    return network, demand, matching, decomposition, system
+
+
+def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
+                                    monkeypatch):
+    calls = []
+    warm_solve = outcomes.solve_lp
+
+    def counted(lp, warm=None):
+        calls.append(warm)
+        return warm_solve(lp, warm=warm)
+
+    monkeypatch.setattr(outcomes, "solve_lp", counted)
+    solved = 0
+    for network, _, matching, _, system in reference_instances + [sioux_falls_cut]:
+        for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
+            model = build_outcome_lp(system, ObjectivePolicy(global_mode=mode))
+            calls.clear()
+            got = solve_outcome(model, matching=matching, network=network)
+            primary = solve_lp(model.lp)
+            if primary.status != "optimal":
+                assert got.status == "empty_core" and len(calls) == 1
+                continue
+            x = _cold_tiebreak(model, primary.objective, primary.x)
+            want = outcomes._assemble_outcome(model, primary.objective, x,
+                                              matching, network)
+            earning = [f for f in model.system.covers
+                       if any(g == f and model.flows.get((od, nodes), 0.0) != 0
+                              for od, nodes, g in model.p_index)]
+            assert len(calls) == 1 + len(earning)
+            assert calls[0] is None and None not in calls[1:]  # stages re-solve warm
+            assert got.objective == pytest.approx(want.objective, rel=1e-7)
+            assert list(got.operators) == list(want.operators)
+            for f, metrics in want.operators.items():
+                assert got.operators[f].revenue == pytest.approx(
+                    metrics.revenue, rel=1e-7)
+            again = solve_outcome(model, matching=matching, network=network)
+            assert again.prices == got.prices
+            solved += 1
+    assert solved > 300
 
 
 def test_buyer_seller_ordering(fig5_pipeline):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,88 @@ def test_solve_lp_matches_linprog():
             np.testing.assert_allclose(result.duals, duals, rtol=1e-9, atol=1e-9)
     assert statuses[-2:] == ["infeasible", "unbounded"]
     assert statuses.count("optimal") >= 100 and "unbounded" in statuses[:-2]
+
+
+def _assert_certified(lp, result, tol=1e-7):
+    """``result.x`` is feasible for ``lp``, and ``result.duals`` certify it
+    optimal: row duals of the right sign, zero on slack rows, and reduced
+    costs of the right sign at each column's bounds."""
+    s = 1.0 if lp.maximize else -1.0  # conditions below are for maximizing
+    x, y = result.x, s * result.duals
+    reduced = s * np.array(lp.objective, dtype=float)
+    for k, row in enumerate(lp.rows):
+        gap = row.rhs - sum(v * x[j] for j, v in row.coeffs)
+        if row.sense == LE:
+            assert gap >= -tol and y[k] >= -tol, k
+        elif row.sense == GE:
+            assert gap <= tol and y[k] <= tol, k
+        else:
+            assert abs(gap) <= tol, k
+        if abs(y[k]) > tol:
+            assert abs(gap) <= tol, k
+        for j, v in row.coeffs:
+            reduced[j] -= y[k] * v
+    for j, (lower, upper) in enumerate(lp.effective_bounds()):
+        assert lower - tol <= x[j] <= upper + tol
+        if x[j] > lower + tol:
+            assert reduced[j] >= -tol, j
+        if x[j] < upper - tol:
+            assert reduced[j] <= tol, j
+
+
+def test_warm_solve_matches_cold():
+    # each stage appends rows through the last optimum, loose, tight or
+    # cutting it off, and swaps the objective, as the revenue tie-break does
+    rng = random.Random(23)
+    statuses = []
+    for _ in range(200):
+        lp = _random_lp(rng)
+        result = solve_lp(lp)
+        for _ in range(2):
+            if result.status != "optimal":
+                break
+            lp = replace(lp, rows=list(lp.rows),
+                         objective=[rng.uniform(-3, 3) for _ in range(lp.num_vars)])
+            for _ in range(rng.randint(1, 3)):
+                coeffs = [(j, rng.uniform(-2, 2)) for j in
+                          sorted(rng.sample(range(lp.num_vars), rng.randint(1, lp.num_vars)))]
+                activity = sum(v * result.x[j] for j, v in coeffs)
+                sense = rng.choice([LE, GE, EQ])
+                offset = 0.0 if sense == EQ else rng.choice([0.0, 0.5, -0.5])
+                lp.add_row(coeffs, sense, activity + (offset if sense == LE else -offset))
+            cold = solve_lp(lp)
+            result = solve_lp(lp, warm=result)
+            assert result.status == cold.status
+            statuses.append(cold.status)
+            if cold.status == "optimal":
+                assert result.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+                assert len(result.duals) == len(lp.rows)
+                _assert_certified(lp, result)
+    assert statuses.count("optimal") >= 100
+    assert {"infeasible", "unbounded"} <= set(statuses)
+
+
+def test_warm_solve_rejects_another_model():
+    lp = LinearProgram(num_vars=2, objective=[1.0, 1.0], maximize=True)
+    lp.add_row([(0, 1.0), (1, 2.0)], LE, 4.0)
+    lp.add_row([(0, 3.0), (1, 1.0)], LE, 6.0)
+    other_rows = replace(lp, rows=lp.rows[1:])
+    other_cols = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0],
+                               maximize=True, rows=list(lp.rows))
+    other_sense = replace(lp, rows=list(lp.rows), maximize=False)
+    for other in (other_rows, other_cols, other_sense):
+        with pytest.raises(ValueError):
+            solve_lp(other, warm=solve_lp(lp))
+    first = solve_lp(lp)
+    stage = replace(lp, rows=list(lp.rows), objective=[1.0, 0.0])
+    stage.add_row([(0, 1.0), (1, 1.0)], EQ, first.objective)
+    assert solve_lp(stage, warm=first).objective == pytest.approx(1.6)
+    with pytest.raises(ValueError):  # its handle went to the solve above
+        solve_lp(stage, warm=first)
+    infeasible = LinearProgram(num_vars=1, objective=[1.0])
+    infeasible.add_row([(0, 1.0)], LE, -1.0)
+    with pytest.raises(ValueError):
+        solve_lp(infeasible, warm=solve_lp(infeasible))
 
 
 def test_strong_duality_and_slackness():

@@ -9,16 +9,17 @@ import pytest
 import maas_market
 from maas_market import (DemandEntry, DemandTable, Link, Network,
                          ObjectivePolicy, PathFlowSolution, build_outcome_lp,
-                         build_sioux_falls, fig5, omega, optimal_path_sets,
-                         solve_outcome, subcoalitions)
+                         fig5, omega, optimal_path_sets, solve_outcome,
+                         subcoalitions)
 from maas_market import stability
 from maas_market.errors import (InfeasibleMatchingError, PathCapExceeded,
                                 SubcoalitionCapExceeded)
+from maas_market.network import DUMMY_OPERATOR
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
-from maas_market.stability import (TIE_TOL, _omega_arcs, _omega_graph,
-                                   _shortest_path_tree, _tree_path,
-                                   generate_constraints_enumeration)
+from maas_market.stability import (TIE_TOL, _build_covers, _omega_arcs,
+                                   _omega_graph, _shortest_path_tree,
+                                   _tree_path, generate_constraints_enumeration)
 from conftest import pipeline_artifacts
 
 
@@ -114,23 +115,9 @@ def yen_optimal_paths(graph, od, network, duals, activations):
     return sorted(found)
 
 
-@pytest.fixture(scope="module")
-def reference_instances():
-    """fig5, Sioux Falls (10/3, transfer cost 2) and random_instance(0..199)
-    with their matchings and decompositions."""
-    instances = [fig5(), build_sioux_falls(transfer_cost=2.0,
-                                           capacity_scale=10 / 3)]
-    instances += [random_instance(seed) for seed in range(200)]
-    out = []
-    for network, demand in instances:
-        matching, _, decomposition, _ = pipeline_artifacts(network, demand)
-        out.append((network, demand, matching, decomposition))
-    return out
-
-
 def test_tree_paths_equal_networkx_dijkstra(reference_instances):
     checked = 0
-    for network, demand, matching, decomposition in reference_instances:
+    for network, demand, matching, decomposition, _ in reference_instances:
         duals, activations = decomposition.duals, matching.activations
         succ = _omega_arcs(network, duals, activations)
         graph = _omega_graph(network, duals, activations)
@@ -145,7 +132,7 @@ def test_tree_paths_equal_networkx_dijkstra(reference_instances):
 
 def test_optimal_path_sets_equal_yen_walk(reference_instances):
     ties = 0
-    for network, demand, matching, decomposition in reference_instances:
+    for network, demand, matching, decomposition, _ in reference_instances:
         duals, activations = decomposition.duals, matching.activations
         graph = _omega_graph(network, duals, activations)
         sets = optimal_path_sets(network, demand, duals, activations,
@@ -156,6 +143,54 @@ def test_optimal_path_sets_equal_yen_walk(reference_instances):
                                             activations), entry.od
             ties += len(got) > 1
     assert ties > 0
+
+
+def _per_operator_covers(network, activations, path_sets, subsidies=None):
+    """The cover builder as it was, one pass over the paths per operator."""
+    subsidies = subsidies or {}
+    covers = {}
+    for f in sorted(network.operators):
+        if f == DUMMY_OPERATOR:
+            continue
+        rhs = sum((link.operating_cost - subsidies.get(link.arc, 0.0))
+                  for link in network.operator_links(f)
+                  if activations.get(link.arc, 0) >= 0.5)
+        terms = [(od, info.nodes, info.flow)
+                 for od in sorted(path_sets)
+                 for info in path_sets[od].paths if f in info.operators]
+        if terms or rhs > 0:
+            covers[f] = (terms, rhs)
+    return covers
+
+
+def test_build_covers_equals_per_operator_builder(reference_instances):
+    repeats = 0
+    for network, _, matching, _, system in reference_instances:
+        activations = matching.activations
+        subsidies = {link.arc: link.operating_cost / 2
+                     for link in network.links[::3]}
+        for given in (None, subsidies):
+            got = _build_covers(network, activations, system.groups, given)
+            want = _per_operator_covers(network, activations, system.groups, given)
+            assert got == want and list(got) == list(want)
+        # one term tuple per path, whichever covers list it
+        terms = [term for cover, _ in got.values() for term in cover]
+        distinct = {term[:2]: term for term in terms}
+        assert all(term is distinct[term[:2]] for term in terms)
+        repeats += len(terms) - len(distinct)
+    assert repeats > 0
+
+
+def test_path_sets_share_input_tuples(reference_instances):
+    for _, demand, _, decomposition, system in reference_instances:
+        for entry in demand.entries:
+            assert system.groups[entry.od].group is entry.od
+        carried = {(path.group, path.nodes): path.nodes
+                   for path, _ in decomposition.path_flows}
+        for od, pset in system.groups.items():
+            for info in pset.paths:
+                if info.flow > 0:
+                    assert info.nodes is carried[(od, info.nodes)]
 
 
 def _parallel_paths(count):
