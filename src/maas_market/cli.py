@@ -49,10 +49,6 @@ def _error_line(exc: MaasMarketError) -> str:
     return json.dumps(record)
 
 
-def _add_common(parser):
-    parser.add_argument("--engine", choices=["bundled", "external"], default=None)
-
-
 def _load_inputs(args):
     network = load_network(args.network)
     demand = load_demand(args.demand)
@@ -71,13 +67,12 @@ def _outcome_options(annotations) -> OutcomeOptions:
         subsidies=dict(annotations.subsidies))
 
 
-def run_pipeline(network, demand, annotations, engine=None,
-                 policies=("buyer", "seller")):
+def run_pipeline(network, demand, annotations, policies=("buyer", "seller")):
     """Matching, duals, decomposition, constraint generation, and one
     outcome vertex per requested policy.  Returns artifacts plus timings."""
     timings = {}
     start = time.perf_counter()
-    matching = solve_matching(network, demand, engine=engine)
+    matching = solve_matching(network, demand)
     timings["matching_msec"] = (time.perf_counter() - start) * 1000
     duals = extract_duals(network, demand, matching.activations)
     decomposition = decompose_flows(network, demand, matching, duals)
@@ -150,8 +145,7 @@ def _write_run_artifacts(outdir, network, result):
 def cmd_run(args) -> int:
     network, demand, annotations = _load_inputs(args)
     policies = args.policy or ["buyer", "seller", "custom"]
-    result = run_pipeline(network, demand, annotations, engine=args.engine,
-                          policies=policies)
+    result = run_pipeline(network, demand, annotations, policies=policies)
     _write_run_artifacts(args.out, network, result)
     empty = [n for n, o in result["outcomes"].items() if o.status == "empty_core"]
     if empty:
@@ -178,9 +172,9 @@ def cmd_compare(args) -> int:
     network = load_network(args.network)
     demand = load_demand(args.demand)
     scenario = load_scenario(args.scenario)
-    base = run_pipeline(network, demand, PolicyAnnotations(), engine=args.engine)
+    base = run_pipeline(network, demand, PolicyAnnotations())
     net2, dem2, ann2 = apply_scenario(network, demand, scenario)
-    varied = run_pipeline(net2, dem2, ann2, engine=args.engine,
+    varied = run_pipeline(net2, dem2, ann2,
                           policies=("buyer", "seller", "custom"))
     outdir = FilePath(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -207,8 +201,7 @@ def cmd_compare(args) -> int:
 
 
 def _bench_one(name, network, demand, annotations, args):
-    result = run_pipeline(network, demand, annotations, engine=args.engine,
-                          policies=())
+    result = run_pipeline(network, demand, annotations, policies=())
     system1 = result["system"]
     record = {"instance": name,
               "lexicographic_msec": result["timings"]["generation_msec"],
@@ -308,7 +301,7 @@ def cmd_lemma2(args) -> int:
 def cmd_enumerate_paths(args) -> int:
     network = load_network(args.network)
     demand = load_demand(args.demand)
-    matching = solve_matching(network, demand, engine=args.engine)
+    matching = solve_matching(network, demand)
     duals = extract_duals(network, demand, matching.activations)
     graph = _omega_graph(network, duals, matching.activations)
     sys.stdout.write("origin,destination,path,travel_cost,deviation_cost\n")
@@ -344,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", action="append",
                    choices=["buyer", "seller", "custom"])
     p.add_argument("--fixed-fare", type=int, action="append")
-    _add_common(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="baseline vs scenario deltas")
@@ -352,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demand", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default="out")
-    _add_common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="time constraint generation strategies")
@@ -367,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simple paths per OD before enumeration is reported "
                         "as capped")
     p.add_argument("--fixed-fare", type=int, action="append")
-    _add_common(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("fixtures", help="write built-in example inputs")
@@ -394,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--demand", required=True)
     p.add_argument("--cap", type=int, default=20000)
-    _add_common(p)
     p.set_defaults(func=cmd_enumerate_paths)
 
     return parser

@@ -181,11 +181,7 @@ def _diagnose_infeasible(network: Network, demand: DemandTable):
         f"{detail} OD pairs {offending}", offending_ods=offending)
 
 
-def solve_matching(
-    network: Network,
-    demand: DemandTable,
-    engine: str | None = None,
-) -> MatchingSolution:
+def solve_matching(network: Network, demand: DemandTable) -> MatchingSolution:
     """Solve the matching to proven optimality; activations, per-OD flows and
     path flows."""
     demand.validate_against(network)
@@ -193,7 +189,7 @@ def solve_matching(
         return MatchingSolution(flows={}, activations={l.arc: 0 for l in network.links},
                                 objective=0.0, path_flows=[])
     mip = _build_origin_aggregated(network, demand)
-    result = solve_milp(mip, engine=engine)
+    result = solve_milp(mip)
     if result.status == "infeasible":
         _diagnose_infeasible(network, demand)
     if result.status != "optimal":

@@ -65,6 +65,7 @@ class OutcomeModel:
     objective_label: str
     options: OutcomeOptions
     flows: dict            # (od, nodes) -> z
+    revenue_terms: dict    # f -> [(column, z)] over f's price columns, in column order
 
 
 @dataclass
@@ -105,6 +106,9 @@ def build_outcome_lp(
     lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True)
     flows = {(od, nodes): z for terms, _ in system.covers.values()
              for od, nodes, z in terms}
+    revenue_terms = {}
+    for (od, nodes, f), col in p_index.items():
+        revenue_terms.setdefault(f, []).append((col, flows.get((od, nodes), 0.0)))
 
     # surplus equalities: u_s + sum_f p_rf = U_s - travel cost, per optimal path
     for od in sorted(system.groups):
@@ -128,19 +132,19 @@ def build_outcome_lp(
 
     # fixed-fare tying: one common price across all paths of a flagged operator
     for f in sorted(options.fixed_fare_operators):
-        cols = [p_index[key] for key in p_vars if key[2] == f]
+        cols = [col for col, _ in revenue_terms.get(f, ())]
         for a, b in zip(cols[:-1], cols[1:]):
             lp.add_row([(a, 1.0), (b, -1.0)], EQ, 0.0)
 
-    objective, label = _objective_vector(system, policy, u_index, p_index, flows)
+    objective, label = _objective_vector(system, policy, u_index, revenue_terms, n)
     lp.objective = objective
     return OutcomeModel(lp=lp, system=system, u_index=u_index,
                         p_index=p_index, objective_label=label,
-                        options=options, flows=flows)
+                        options=options, flows=flows,
+                        revenue_terms=revenue_terms)
 
 
-def _objective_vector(system, policy, u_index, p_index, flows):
-    n = len(u_index) + len(p_index)
+def _objective_vector(system, policy, u_index, revenue_terms, n):
     obj = [0.0] * n
 
     def add_surplus(weight=1.0):
@@ -149,9 +153,8 @@ def _objective_vector(system, policy, u_index, p_index, flows):
             obj[col] += weight * scale
 
     def add_revenue(operator):
-        for (od, nodes, f), col in p_index.items():
-            if f == operator:
-                obj[col] += flows.get((od, nodes), 0.0)
+        for col, z in revenue_terms.get(operator, ()):
+            obj[col] += z
 
     if policy.global_mode == BUYER_OPTIMAL:
         add_surplus()
@@ -219,9 +222,7 @@ def _lexicographic_revenue_tiebreak(model, primary):
                   EQ, primary.objective)
     result = primary
     for f in sorted(model.system.covers):
-        coeffs = [(col, model.flows.get((od, nodes), 0.0))
-                  for (od, nodes, g), col in model.p_index.items() if g == f]
-        coeffs = [(c, v) for c, v in coeffs if v != 0]
+        coeffs = [(c, v) for c, v in model.revenue_terms.get(f, ()) if v != 0]
         if not coeffs:
             continue
         stage.objective = [0.0] * lp.num_vars

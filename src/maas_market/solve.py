@@ -1,16 +1,13 @@
 """Exact LP/MILP layer with dual extraction.
 
-Two interchangeable engines solve mixed-integer programs:
-
-* ``bundled`` -- a deterministic branch-and-bound over the binary variables
-  with LP-relaxation bounds (best-bound node order, most-fractional branching,
-  ties broken by lowest variable index).  It passes its model to one HiGHS
-  handle once per solve.  Each node changes only the bounds of the binaries,
-  restores its parent's simplex basis and re-solves with the dual simplex
-  from there.  It proves optimality to the absolute gap ``MIP_GAP`` and gives
-  up with :class:`ResourceLimitExceeded` after ``NODE_LIMIT`` nodes.
-* ``external`` -- HiGHS' own branch-and-cut via :func:`scipy.optimize.milp`,
-  with a relative gap of zero.
+Mixed-integer programs are solved by a deterministic branch-and-bound over
+the binary variables with LP-relaxation bounds (Land and Doig, 1960):
+best-bound node order, most-fractional branching, ties broken by lowest
+variable index.  It passes its model to one HiGHS handle once per solve.
+Each node changes only the bounds of the binaries, restores its parent's
+simplex basis and re-solves with the dual simplex from there.  It proves
+optimality to the absolute gap ``MIP_GAP`` and gives up with
+:class:`ResourceLimitExceeded` after ``NODE_LIMIT`` nodes.
 
 Pure LPs go through the same handle builder: one cold HiGHS solve, whose
 row duals are read from the solution.  An optimal LP result keeps its
@@ -22,12 +19,11 @@ new rows hold at the old optimum -- a row pinning the old objective to its
 optimal value does -- and only the new objective makes it non-optimal, so
 the warm solve runs the primal simplex.  The dual simplex, which suits a
 cold solve, would first have to repair the dual infeasibility the new
-objective causes.  No solve goes through
-:func:`scipy.optimize.linprog`.  The handle is the private binding
+objective causes.  The handle is the private binding
 ``scipy.optimize._highspy._core._Highs`` (HiGHS 1.12.0 in scipy 1.17), on
-which ``linprog`` and ``milp`` are built; a scipy without it fails at import.
-HiGHS gets the model in ``linprog``'s form -- the ``<=`` rows (``>=`` rows
-negated), then the ``=`` rows -- with ``linprog``'s options.
+which ``linprog`` is built; a scipy without it fails at import.  HiGHS gets
+the model in ``linprog``'s form (see :func:`_highs_handle`) with
+``linprog``'s options.
 
 The configuration is fixed: no tolerance, gap or limit is settable.
 Reported duals follow the convention ``dual = d(objective)/d(rhs)`` in the
@@ -38,13 +34,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
                                            MatrixFormat, _Highs)
 
@@ -52,23 +45,12 @@ from .errors import ResourceLimitExceeded, SolveNumericalError
 
 LE, EQ, GE = "<=", "=", ">="
 
-ENGINE_ENV_VAR = "MAAS_MARKET_ENGINE"
-DEFAULT_ENGINE = "bundled"
-
 MIP_GAP = 1e-6         # absolute: a node is pruned unless it beats the incumbent by this
-NODE_LIMIT = 200_000   # bundled branch-and-bound children before ResourceLimitExceeded
+NODE_LIMIT = 200_000   # branch-and-bound children before ResourceLimitExceeded
 
 _LP_STATUS = {HighsModelStatus.kOptimal: "optimal",
               HighsModelStatus.kInfeasible: "infeasible",
               HighsModelStatus.kUnbounded: "unbounded"}
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Engine precedence: explicit argument, then environment, then default."""
-    name = engine or os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
-    if name not in ("bundled", "external"):
-        raise ValueError(f"unknown engine {name!r}")
-    return name
 
 
 @dataclass
@@ -127,8 +109,8 @@ class SolveResult:
 
 @dataclass
 class _Handle:
-    """A HiGHS handle holding an LP in ``_to_scipy`` form, and that form's
-    map back to the LP: per handle row its LP row and sign flip."""
+    """A HiGHS handle holding an LP in ``linprog``'s row form, and that
+    form's map back to the LP: per handle row its LP row and sign flip."""
 
     highs: _Highs
     lp_rows: np.ndarray              # LP row index of each handle row
@@ -138,46 +120,41 @@ class _Handle:
     shape: tuple = ()                # the LP's (num_vars, maximize, bounds)
 
 
-def _to_scipy(lp: LinearProgram):
-    n = lp.num_vars
-    c = np.asarray(lp.objective, dtype=float)
-    sign = -1.0 if lp.maximize else 1.0
-    data_ub, rows_ub, cols_ub, b_ub, map_ub = [], [], [], [], []
-    data_eq, rows_eq, cols_eq, b_eq, map_eq = [], [], [], [], []
-    for k, row in enumerate(lp.rows):
-        if row.sense == EQ:
-            r = len(b_eq)
-            for idx, val in row.coeffs:
-                rows_eq.append(r); cols_eq.append(idx); data_eq.append(val)
-            b_eq.append(row.rhs)
-            map_eq.append(k)
-        else:
-            flip = -1.0 if row.sense == GE else 1.0
-            r = len(b_ub)
-            for idx, val in row.coeffs:
-                rows_ub.append(r); cols_ub.append(idx); data_ub.append(flip * val)
-            b_ub.append(flip * row.rhs)
-            map_ub.append((k, flip))
-    A_ub = sp.csr_matrix((data_ub, (rows_ub, cols_ub)), shape=(len(b_ub), n)) if b_ub else None
-    A_eq = sp.csr_matrix((data_eq, (rows_eq, cols_eq)), shape=(len(b_eq), n)) if b_eq else None
-    return sign * c, A_ub, np.array(b_ub, dtype=float), A_eq, \
-        np.array(b_eq, dtype=float), map_ub, map_eq, sign
-
-
 def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
-    """A HiGHS handle holding ``lp`` in ``_to_scipy`` form with column
-    ``bounds`` (an (n, 2) array)."""
-    c, A_ub, b_ub, A_eq, b_eq, map_ub, map_eq, sign = _to_scipy(lp)
-    blocks = [A for A in (A_ub, A_eq) if A is not None]
-    A = sp.vstack(blocks).tocsc() if blocks else sp.csc_matrix((0, lp.num_vars))
+    """A HiGHS handle holding ``lp`` with column ``bounds`` (an (n, 2) array).
+
+    The handle's rows are in ``linprog``'s form: the ``<=`` rows and the
+    negated ``>=`` rows, each as ``row <= rhs`` and in LP order, then the
+    ``=`` rows.  Keep that form.  Row order and negation decide which of
+    several optimal vertices HiGHS returns, and so the activations, the path
+    decomposition and the prices downstream.  Passing the rows as ranged rows
+    in LP order instead changed answers on 99 of 303 instances (fig5, Sioux
+    Falls at 10/3 with and without its 0.6x capacity cut, and
+    ``random_instance(0..299)``): mostly tied prices, the decomposition paths
+    on the cut, and on ``random_instance(275)`` the buyer objective, from
+    47.659 to 45.961.
+    """
+    ineq = [k for k, row in enumerate(lp.rows) if row.sense != EQ]
+    eq = [k for k, row in enumerate(lp.rows) if row.sense == EQ]
+    rows = [lp.rows[k] for k in ineq + eq]
+    flips = np.array([-1.0 if row.sense == GE else 1.0 for row in rows])
+    rhs = flips * np.array([row.rhs for row in rows], dtype=float)
+    lengths = [len(row.coeffs) for row in rows]
+    values = np.array([val for row in rows for _, val in row.coeffs], dtype=float)
+    A = sp.csc_matrix(
+        (np.repeat(flips, lengths) * values,
+         (np.repeat(np.arange(len(rows)), lengths),
+          np.array([idx for row in rows for idx, _ in row.coeffs], dtype=int))),
+        shape=(len(rows), lp.num_vars))
     model = HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
-    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
-    model.col_cost_ = c
+    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    sign = -1.0 if lp.maximize else 1.0
+    model.col_cost_ = sign * np.asarray(lp.objective, dtype=float)
     model.col_lower_ = bounds[:, 0]
     model.col_upper_ = bounds[:, 1]
-    model.row_lower_ = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
-    model.row_upper_ = np.concatenate((b_ub, b_eq))
+    model.row_lower_ = np.concatenate((np.full(len(ineq), -np.inf), rhs[len(ineq):]))
+    model.row_upper_ = rhs
     model.a_matrix_.format_ = MatrixFormat.kColwise
     model.a_matrix_.start_ = A.indptr
     model.a_matrix_.index_ = A.indices
@@ -186,10 +163,8 @@ def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
     highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as linprog sets
     highs.setOptionValue("output_flag", False)
     highs.passModel(model)
-    return _Handle(highs=highs,
-                   lp_rows=np.array([k for k, _ in map_ub] + map_eq, dtype=int),
-                   flips=np.array([f for _, f in map_ub] + [1.0] * len(map_eq)),
-                   sign=sign)
+    return _Handle(highs=highs, lp_rows=np.array(ineq + eq, dtype=int),
+                   flips=flips, sign=sign)
 
 
 def _run(highs) -> str:
@@ -268,72 +243,23 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
                        duals=duals, handle=handle)
 
 
-def solve_milp(mip: MixedIntegerProgram, engine: str | None = None) -> SolveResult:
-    """Solve a MILP to proven optimality within the absolute gap ``MIP_GAP``."""
+def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
+    """Solve a MILP to proven optimality within the absolute gap ``MIP_GAP``.
+
+    Branch-and-bound on the binaries, each clamped to [0, 1], with
+    LP-relaxation bounds.  Internally minimizes; deterministic: best-bound
+    node order with FIFO tie-break, branch on the binary closest to 1/2, ties
+    to the lowest index.  One HiGHS handle holds the model.  A node resets
+    the bounds of every binary, fixing its branched ones, and re-solves from
+    its parent's basis.
+    """
     if not mip.binary_vars:
         return solve_lp(mip.lp)
-    if resolve_engine(engine) == "external":
-        return _solve_milp_external(mip)
-    return _solve_milp_bundled(mip)
-
-
-def _binary_bounds(mip):
-    """Variable bounds as an (n, 2) array, each binary clamped to [0, 1]."""
-    bounds = np.array(mip.lp.effective_bounds(), dtype=float)
+    lp = mip.lp
     binaries = sorted(mip.binary_vars)
+    bounds = np.array(lp.effective_bounds(), dtype=float)
     bounds[binaries, 0] = np.maximum(bounds[binaries, 0], 0.0)
     bounds[binaries, 1] = np.minimum(bounds[binaries, 1], 1.0)
-    return bounds
-
-
-def _solve_milp_external(mip):
-    lp = mip.lp
-    c, A_ub, b_ub, A_eq, b_eq, _, _, sign = _to_scipy(lp)
-    constraints = []
-    if A_ub is not None:
-        constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
-    if A_eq is not None:
-        constraints.append(LinearConstraint(A_eq, b_eq, b_eq))
-    integrality = np.zeros(lp.num_vars)
-    integrality[sorted(mip.binary_vars)] = 1
-    bounds = _binary_bounds(mip)
-    # HiGHS's MIP solver prints debug text to C-level stdout; send it to stderr
-    sys.stdout.flush()
-    saved_stdout = os.dup(1)
-    os.dup2(2, 1)
-    try:
-        res = milp(c=c, constraints=constraints,
-                   bounds=Bounds(bounds[:, 0], bounds[:, 1]),
-                   integrality=integrality, options={"mip_rel_gap": 0.0})
-    finally:
-        os.dup2(saved_stdout, 1)
-        os.close(saved_stdout)
-    if res.status == 2:
-        return SolveResult(status="infeasible")
-    if res.status == 1:  # iteration limit or another HiGHS limit
-        raise ResourceLimitExceeded(
-            "external engine hit its resource limit",
-            incumbent=(sign * res.fun if res.fun is not None else None),
-            bound=(sign * res.mip_dual_bound if res.mip_dual_bound is not None else None),
-        )
-    if res.status == 3:
-        return SolveResult(status="unbounded")
-    if res.status != 0:
-        raise SolveNumericalError(f"MILP solve failed: {res.message}")
-    return SolveResult(status="optimal", x=res.x, objective=sign * res.fun)
-
-
-def _solve_milp_bundled(mip):
-    """Branch-and-bound on the binaries with LP-relaxation bounds.
-
-    Internally minimizes; deterministic: best-bound node order with FIFO
-    tie-break, branch on the binary closest to 1/2, ties to the lowest index.
-    One HiGHS handle holds the model.  A node resets the bounds of every
-    binary, fixing its branched ones, and re-solves from its parent's basis.
-    """
-    lp = mip.lp
-    bounds = _binary_bounds(mip)
-    binaries = sorted(mip.binary_vars)
     handle = _highs_handle(lp, bounds)
     highs, sign = handle.highs, handle.sign
     cols = np.array(binaries, dtype=np.int32)
@@ -381,7 +307,7 @@ def _solve_milp_bundled(mip):
             counter += 1
             if counter > NODE_LIMIT:
                 raise ResourceLimitExceeded(
-                    "bundled branch-and-bound node cap exceeded",
+                    "branch-and-bound node cap exceeded",
                     incumbent=None if incumbent_x is None else sign * incumbent_val,
                     bound=sign * node_bound)
             child_fix = dict(fixings)

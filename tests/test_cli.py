@@ -125,6 +125,16 @@ def test_bad_command_line_exit_1(fig5_files, capsys, extra, message):
     assert message in record["message"]
 
 
+def test_engine_option_is_gone(fig5_files, capsys):
+    # one MILP solver is left, so there is no solver to choose
+    network, demand = fig5_files
+    assert main(["run", "--network", network, "--demand", demand,
+                 "--engine", "bundled"]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error_class"] == "validation"
+    assert "unrecognized arguments: --engine bundled" in record["message"]
+
+
 def test_help_exit_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
@@ -244,11 +254,11 @@ def test_enumerate_paths_over_cap_exit_4(fig5_files, capsys):
     assert err["error_class"] == "path_cap"
 
 
-def test_enumerate_paths_external_engine_stdout_is_csv(tmp_path, capfd):
-    # HiGHS's MIP solver prints debug text to C-level stdout on this instance
+def test_enumerate_paths_stdout_is_csv(tmp_path, capfd):
+    # HiGHS's own MIP solver printed debug text to C-level stdout on this
+    # instance; no solver text may reach the CSV
     network, demand = _random_files(tmp_path, 7088)
-    code = main(["enumerate-paths", "--network", network, "--demand", demand,
-                 "--engine", "external"])
+    code = main(["enumerate-paths", "--network", network, "--demand", demand])
     assert code == 0
     lines = capfd.readouterr().out.splitlines()
     assert lines[0] == "origin,destination,path,travel_cost,deviation_cost"

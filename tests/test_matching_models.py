@@ -1,16 +1,19 @@
-"""The matching's models against each other: both MILP engines, the
-origin-aggregated flow LP against the literal per-commodity model, and the
-flow LP's size on Sioux Falls."""
+"""The matching's models against each other: the bundled branch-and-bound
+against HiGHS's own MILP solver, the origin-aggregated flow LP against the
+literal per-commodity model, and the flow LP's size on Sioux Falls."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from maas_market import (build_mcnd, build_sioux_falls, extract_duals, fig5,
                          solve_lp, solve_matching, solve_milp)
 from maas_market.matching import _build_origin_aggregated, flow_lp
 from maas_market.randnet import random_instance
-from maas_market.solve import GE
+from maas_market.solve import GE, LE
 
 INSTANCES = [("fig5", *fig5())] + [(f"seed {s}", *random_instance(s)) for s in range(50)]
 
@@ -24,20 +27,46 @@ def _activations_unique(network, demand, activations, objective):
     on = [activations[link.arc] for link in network.links]
     coeffs = [(y_offset + k, -1.0 if y else 1.0) for k, y in enumerate(on)]
     mip.lp.add_row(coeffs, GE, 1.0 - sum(on))
-    other = solve_milp(mip, engine="bundled")
+    other = solve_milp(mip)
     return other.status == "infeasible" or \
         other.objective > objective + 1e-6 * max(1.0, abs(objective))
 
 
-def test_engines_agree():
+def _scipy_milp(mip):
+    """``mip`` solved by HiGHS's branch-and-cut through ``scipy.optimize.milp``
+    at a relative gap of zero: (objective, x)."""
+    lp = mip.lp
+    sign = -1.0 if lp.maximize else 1.0
+    entries = [(r, j, v) for r, row in enumerate(lp.rows) for j, v in row.coeffs]
+    rows, cols, vals = zip(*entries)
+    A = sp.csr_array((vals, (rows, cols)), shape=(len(lp.rows), lp.num_vars))
+    lower = [row.rhs if row.sense != LE else -np.inf for row in lp.rows]
+    upper = [row.rhs if row.sense != GE else np.inf for row in lp.rows]
+    binaries = sorted(mip.binary_vars)
+    bounds = np.array(lp.effective_bounds(), dtype=float)
+    bounds[binaries] = np.clip(bounds[binaries], 0.0, 1.0)
+    integrality = np.zeros(lp.num_vars)
+    integrality[binaries] = 1
+    res = milp(sign * np.array(lp.objective), integrality=integrality,
+               bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+               constraints=LinearConstraint(A, lower, upper),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return sign * res.fun, res.x
+
+
+def test_matching_matches_scipy_milp():
     unique = 0
     for label, network, demand in INSTANCES:
-        bundled = solve_matching(network, demand, engine="bundled")
-        external = solve_matching(network, demand, engine="external")
-        assert external.objective == pytest.approx(bundled.objective, rel=1e-6), label
-        if _activations_unique(network, demand, bundled.activations, bundled.objective):
+        matching = solve_matching(network, demand)
+        objective, x = _scipy_milp(_build_origin_aggregated(network, demand))
+        assert objective == pytest.approx(matching.objective, rel=1e-6), label
+        if _activations_unique(network, demand, matching.activations, matching.objective):
             unique += 1
-            assert external.activations == bundled.activations, label
+            y_offset = len(x) - len(network.links)
+            activations = {link.arc: int(round(x[y_offset + k]))
+                           for k, link in enumerate(network.links)}
+            assert activations == matching.activations, label
     assert unique >= len(INSTANCES) // 2  # the activation check is not vacuous
 
 

@@ -15,7 +15,7 @@ import maas_market
 from maas_market import (LinearProgram, MixedIntegerProgram, solve, solve_lp,
                          solve_milp)
 from maas_market.errors import ResourceLimitExceeded
-from maas_market.solve import EQ, GE, LE, resolve_engine
+from maas_market.solve import EQ, GE, LE
 
 
 def test_trivial_lp_with_dual():
@@ -131,6 +131,42 @@ def test_solve_lp_matches_linprog():
     assert statuses.count("optimal") >= 100 and "unbounded" in statuses[:-2]
 
 
+def test_handle_keeps_linprog_row_form():
+    # HiGHS gets the <= rows and the negated >= rows in LP order, then the
+    # = rows; that form picks which optimum HiGHS returns among tied ones
+    for s in (1.0, -1.0):
+        lp = LinearProgram(num_vars=3, objective=[s * 1.0, s * 2.0, s * 3.0],
+                           maximize=s < 0)
+        lp.add_row([(0, 1.0), (1, 1.0)], EQ, 4.0)
+        lp.add_row([(0, 1.0), (2, 2.0)], GE, 6.0)
+        lp.add_row([(1, 3.0)], LE, 5.0)
+        lp.add_row([(1, 1.0), (2, 1.0)], EQ, 3.0)
+        lp.add_row([(2, -1.0)], GE, -6.0)
+        handle = solve._highs_handle(lp, np.array(lp.effective_bounds(), dtype=float))
+        model = handle.highs.getLp()
+        A = np.zeros((model.num_row_, model.num_col_))
+        start, index, value = (model.a_matrix_.start_, model.a_matrix_.index_,
+                               model.a_matrix_.value_)
+        for j in range(model.num_col_):
+            for k in range(start[j], start[j + 1]):
+                A[index[k], j] = value[k]
+        np.testing.assert_array_equal(A, [[-1.0, 0.0, -2.0],
+                                          [0.0, 3.0, 0.0],
+                                          [0.0, 0.0, 1.0],
+                                          [1.0, 1.0, 0.0],
+                                          [0.0, 1.0, 1.0]])
+        assert list(model.row_lower_) == [-math.inf] * 3 + [4.0, 3.0]
+        assert list(model.row_upper_) == [-6.0, 5.0, 6.0, 4.0, 3.0]
+        assert list(model.col_cost_) == [1.0, 2.0, 3.0]
+        assert list(handle.lp_rows) == [1, 2, 4, 0, 3]
+        # objective 13 - 2 x1 with x1 = (10 - rhs_1) / 3 while row 1 binds
+        result = solve_lp(lp)
+        assert result.objective == pytest.approx(s * 31 / 3)
+        np.testing.assert_allclose(result.duals, s * np.array([1 / 3, 2 / 3, 0.0, 5 / 3, 0.0]),
+                                   atol=1e-9)
+        _assert_certified(lp, result)
+
+
 def _assert_certified(lp, result, tol=1e-7):
     """``result.x`` is feasible for ``lp``, and ``result.duals`` certify it
     optimal: row duals of the right sign, zero on slack rows, and reduced
@@ -235,12 +271,11 @@ def test_strong_duality_and_slackness():
                 assert abs(lhs - lp.rows[r].rhs) <= 1e-6
 
 
-@pytest.mark.parametrize("engine", ["bundled", "external"])
-def test_knapsack(engine):
+def test_knapsack():
     lp = LinearProgram(num_vars=2, objective=[3.0, 2.0], maximize=True)
     lp.add_row([(0, 1.0), (1, 1.0)], LE, 1.0)
     mip = MixedIntegerProgram(lp=lp, binary_vars=frozenset({0, 1}))
-    result = solve_milp(mip, engine=engine)
+    result = solve_milp(mip)
     assert result.objective == pytest.approx(3.0)
     assert result.x[0] == pytest.approx(1.0)
 
@@ -282,11 +317,10 @@ def _brute_force(mip, n_bin, caps, demand):
     return best
 
 
-@pytest.mark.parametrize("engine", ["bundled", "external"])
-def test_fixed_charge_matches_enumeration(engine):
+def test_fixed_charge_matches_enumeration():
     for seed in range(15):
         mip, n_bin, caps, demand = _random_fixed_charge(seed)
-        result = solve_milp(mip, engine=engine)
+        result = solve_milp(mip)
         assert result.status == "optimal"
         expected = _brute_force(mip, n_bin, caps, demand)
         assert result.objective == pytest.approx(expected, abs=1e-6)
@@ -296,23 +330,7 @@ def test_bundled_node_cap(monkeypatch):
     mip, *_ = _random_fixed_charge(3)
     monkeypatch.setattr(solve, "NODE_LIMIT", 1)
     with pytest.raises(ResourceLimitExceeded):
-        solve_milp(mip, engine="bundled")
-
-
-def test_bundled_converts_its_model_once(monkeypatch):
-    calls = []
-    to_scipy = solve._to_scipy
-
-    def counted(lp):
-        calls.append(lp)
-        return to_scipy(lp)
-
-    monkeypatch.setattr(solve, "_to_scipy", counted)
-    mip, n_bin, caps, demand = _random_fixed_charge(3)
-    result = solve_milp(mip, engine="bundled")
-    assert result.objective == pytest.approx(_brute_force(mip, n_bin, caps, demand),
-                                             abs=1e-6)
-    assert len(calls) == 1
+        solve_milp(mip)
 
 
 def test_bundled_passes_one_highs_model(monkeypatch):
@@ -325,20 +343,10 @@ def test_bundled_passes_one_highs_model(monkeypatch):
 
     monkeypatch.setattr(solve, "_Highs", Counted)
     mip, n_bin, caps, demand = _random_fixed_charge(3)
-    result = solve_milp(mip, engine="bundled")
+    result = solve_milp(mip)
     assert result.objective == pytest.approx(_brute_force(mip, n_bin, caps, demand),
                                              abs=1e-6)
     assert len(models) == 1
-
-
-def test_engine_resolution(monkeypatch):
-    assert resolve_engine(None) == "bundled"
-    assert resolve_engine("external") == "external"
-    monkeypatch.setenv("MAAS_MARKET_ENGINE", "external")
-    assert resolve_engine(None) == "external"
-    assert resolve_engine("bundled") == "bundled"
-    with pytest.raises(ValueError):
-        resolve_engine("simplex")
 
 
 def test_milp_infeasible_status():
@@ -346,8 +354,7 @@ def test_milp_infeasible_status():
     lp.add_row([(0, 1.0)], GE, 0.5)
     lp.add_row([(0, 1.0)], LE, 0.4)
     mip = MixedIntegerProgram(lp=lp, binary_vars=frozenset({0}))
-    assert solve_milp(mip, engine="bundled").status == "infeasible"
-    assert solve_milp(mip, engine="external").status == "infeasible"
+    assert solve_milp(mip).status == "infeasible"
 
 
 def test_instance_3313_solves_in_a_fresh_process():
