@@ -1,7 +1,7 @@
 """Market equilibria for multi-operator MaaS platforms.
 
 Pipeline: solve the capacitated matching between traveler groups and
-operator-owned links, extract capacity duals and a canonical path-flow
+operator-owned links, with its capacity duals and a canonical path-flow
 decomposition, generate the feasibility and stability constraint system over
 surpluses and prices, and solve buyer-optimal, seller-optimal, or custom
 policy vertices of the stable outcome space.

@@ -28,8 +28,7 @@ from .closedform import (CoopCompeteInstance, SmallVsLargeInstance,
                          lemma1_lower_bound, lemma2_upper_bound)
 from .errors import MaasMarketError, PathCapExceeded, ValidationError
 from .matching import (Path, decompose_flows, dump_commodity_flows,
-                       dump_link_flows, dump_link_status, extract_duals,
-                       solve_matching)
+                       dump_link_flows, dump_link_status, solve_matching)
 from .network import dump_demand, dump_network, load_demand, load_network
 from .outcomes import (BUYER_OPTIMAL, SELLER_OPTIMAL, ObjectivePolicy,
                        OutcomeOptions, build_outcome_lp, report, solve_outcome)
@@ -68,14 +67,14 @@ def _outcome_options(annotations) -> OutcomeOptions:
 
 
 def run_pipeline(network, demand, annotations, policies=("buyer", "seller")):
-    """Matching, duals, decomposition, constraint generation, and one
-    outcome vertex per requested policy.  Returns artifacts plus timings."""
+    """Matching with its duals, decomposition, constraint generation, and
+    one outcome vertex per requested policy.  Returns artifacts plus
+    timings."""
     timings = {}
     start = time.perf_counter()
     matching = solve_matching(network, demand)
     timings["matching_msec"] = (time.perf_counter() - start) * 1000
-    duals = extract_duals(network, demand, matching.activations)
-    decomposition = decompose_flows(network, demand, matching, duals)
+    decomposition = decompose_flows(network, demand, matching)
     start = time.perf_counter()
     system = generate_constraints_algorithm1(
         network, demand, matching, decomposition,
@@ -104,7 +103,6 @@ def run_pipeline(network, demand, annotations, policies=("buyer", "seller")):
     timings["outcomes_msec"] = (time.perf_counter() - start) * 1000
     return {
         "matching": matching,
-        "duals": duals,
         "decomposition": decomposition,
         "system": system,
         "outcomes": outcomes,
@@ -124,8 +122,7 @@ def _write_run_artifacts(outdir, network, result):
     matching = result["matching"]
     dump_link_flows(network, matching, outdir / "link_flows.csv")
     dump_commodity_flows(matching, outdir / "commodity_flows.csv")
-    dump_link_status(network, matching, result["duals"],
-                     outdir / "link_status.csv")
+    dump_link_status(network, matching, outdir / "link_status.csv")
     with open(outdir / "path_flows.csv", "w") as fh:
         fh.write("origin,destination,path,flow\n")
         for path, z in result["decomposition"].path_flows:
@@ -302,7 +299,7 @@ def cmd_enumerate_paths(args) -> int:
     network = load_network(args.network)
     demand = load_demand(args.demand)
     matching = solve_matching(network, demand)
-    duals = extract_duals(network, demand, matching.activations)
+    duals = matching.duals
     graph = _omega_graph(network, duals, matching.activations)
     sys.stdout.write("origin,destination,path,travel_cost,deviation_cost\n")
     for entry in demand.entries:

@@ -18,11 +18,10 @@ node-arc incidence builder.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .errors import InfeasibleMatchingError, SolveNumericalError
-from .network import DUMMY_OPERATOR, DemandTable, Network
+from .network import DUMMY_OPERATOR, DemandTable, Network, write_csv
 from .solve import EQ, LE, LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
 
 FLOW_EPS = 1e-6
@@ -55,6 +54,7 @@ class MatchingSolution:
     activations: dict  # arc -> 0/1
     objective: float
     path_flows: list  # [(Path, z_r)], per OD in demand order
+    duals: dict  # arc -> mu >= 0, every link; 0.0 where not operated
 
     def total_flow(self, arc) -> float:
         return sum(per_od.get(arc, 0.0) for per_od in self.flows.values())
@@ -181,13 +181,33 @@ def _diagnose_infeasible(network: Network, demand: DemandTable):
         f"{detail} OD pairs {offending}", offending_ods=offending)
 
 
+def _solve_flow_lp(network: Network, demand: DemandTable, activations):
+    """Solve the flow LP with ``activations`` fixed.
+
+    Returns its optimal result, the operated links, the origins in block
+    order and the capacity duals: per link mu >= 0 in $ per passenger, zero
+    on links that are not operated.
+    """
+    lp, links, origins, capacity_rows = flow_lp(network, demand, activations)
+    result = solve_lp(lp)
+    if result.status != "optimal":
+        raise SolveNumericalError(
+            f"flow LP ended with {result.status} for fixed activations")
+    mu = {link.arc: 0.0 for link in network.links}
+    for link, row in zip(links, capacity_rows):
+        # min problem, <= row: d(obj)/d(rhs) <= 0, so mu = -dual
+        mu[link.arc] = max(0.0, -float(result.duals[row]))
+    return result, links, origins, mu
+
+
 def solve_matching(network: Network, demand: DemandTable) -> MatchingSolution:
-    """Solve the matching to proven optimality; activations, per-OD flows and
-    path flows."""
+    """Solve the matching to proven optimality; activations, per-OD flows,
+    path flows and capacity duals."""
     demand.validate_against(network)
     if not demand.entries:
         return MatchingSolution(flows={}, activations={l.arc: 0 for l in network.links},
-                                objective=0.0, path_flows=[])
+                                objective=0.0, path_flows=[],
+                                duals={l.arc: 0.0 for l in network.links})
     mip = _build_origin_aggregated(network, demand)
     result = solve_milp(mip)
     if result.status == "infeasible":
@@ -199,11 +219,7 @@ def solve_matching(network: Network, demand: DemandTable) -> MatchingSolution:
                    for a_idx, link in enumerate(network.links)}
     objective = result.objective
 
-    lp, links, origins, _ = flow_lp(network, demand, activations)
-    sub = solve_lp(lp)
-    if sub.status != "optimal":
-        raise SolveNumericalError(
-            f"flow recovery LP ended with {sub.status} for fixed activations")
+    sub, links, origins, duals = _solve_flow_lp(network, demand, activations)
     fixed_cost = sum(l.operating_cost for l in network.links
                      if activations[l.arc])
     recomputed = sub.objective + fixed_cost
@@ -227,7 +243,8 @@ def solve_matching(network: Network, demand: DemandTable) -> MatchingSolution:
                   for od, merged in paths.items()
                   for nodes, amount in merged.items() if amount > FLOW_EPS]
     return MatchingSolution(flows=flows, activations=activations,
-                            objective=float(recomputed), path_flows=path_flows)
+                            objective=float(recomputed), path_flows=path_flows,
+                            duals=duals)
 
 
 def extract_duals(
@@ -235,22 +252,12 @@ def extract_duals(
     demand: DemandTable,
     activations: dict,
 ) -> dict:
-    """Capacity duals of the flow LP with activations held fixed.
+    """Capacity duals of the flow LP with ``activations`` held fixed.
 
-    mu_ij >= 0 in $ per passenger; zero on links that are not operated.
+    mu_ij >= 0 in $ per passenger; zero on links that are not operated.  For
+    the activations ``solve_matching`` chose they equal its ``duals``.
     """
-    mu = {link.arc: 0.0 for link in network.links}
-    if not demand.entries:
-        return mu
-    lp, links, _, capacity_rows = flow_lp(network, demand, activations)
-    result = solve_lp(lp)
-    if result.status != "optimal":
-        raise SolveNumericalError(
-            f"dual-extraction LP ended with {result.status}: activations inconsistent")
-    for link, row in zip(links, capacity_rows):
-        # min problem, <= row: d(obj)/d(rhs) <= 0, so mu = -dual
-        mu[link.arc] = max(0.0, -float(result.duals[row]))
-    return mu
+    return _solve_flow_lp(network, demand, activations)[3]
 
 
 def decompose_flows(
@@ -259,7 +266,8 @@ def decompose_flows(
     solution: MatchingSolution,
     duals: dict | None = None,
 ) -> PathFlowSolution:
-    """Canonical path decomposition of the per-OD link flows, with the duals.
+    """Canonical path decomposition of the per-OD link flows, with the duals
+    (``solution.duals`` unless ``duals`` is given).
 
     The paths are those ``solve_matching`` walked from each origin, merged
     per OD in demand order, so ``network`` and ``demand`` are not read.
@@ -267,7 +275,7 @@ def decompose_flows(
     non-uniqueness.
     """
     return PathFlowSolution(path_flows=list(solution.path_flows),
-                            duals=dict(duals or {}))
+                            duals=dict(solution.duals if duals is None else duals))
 
 
 def _walk_paths(source, unmet, residual):
@@ -319,9 +327,9 @@ def _subtract(residual, nodes, amount):
 
 def dump_link_flows(network: Network, solution: MatchingSolution, target) -> None:
     """Aggregate flow per link, one row per link in arc order."""
-    _write_table(target, ["tail", "head", "flow"],
-                 [[a[0], a[1], f"{solution.total_flow(a):.6f}"]
-                  for a in sorted(l.arc for l in network.links)])
+    write_csv(target, ["tail", "head", "flow"],
+              [[a[0], a[1], f"{solution.total_flow(a):.6f}"]
+               for a in sorted(l.arc for l in network.links)])
 
 
 def dump_commodity_flows(solution: MatchingSolution, target) -> None:
@@ -330,26 +338,11 @@ def dump_commodity_flows(solution: MatchingSolution, target) -> None:
         for arc in sorted(solution.flows[od]):
             rows.append([od[0], od[1], arc[0], arc[1],
                          f"{solution.flows[od][arc]:.6f}"])
-    _write_table(target, ["origin", "destination", "tail", "head", "flow"], rows)
+    write_csv(target, ["origin", "destination", "tail", "head", "flow"], rows)
 
 
-def dump_link_status(network: Network, solution: MatchingSolution,
-                     duals: dict, target) -> None:
+def dump_link_status(network: Network, solution: MatchingSolution, target) -> None:
     rows = [[a[0], a[1], solution.activations.get(a, 0),
-             f"{duals.get(a, 0.0):.6f}"]
+             f"{solution.duals.get(a, 0.0):.6f}"]
             for a in sorted(l.arc for l in network.links)]
-    _write_table(target, ["tail", "head", "operated", "capacity_dual"], rows)
-
-
-def _write_table(target, header, rows):
-    close = False
-    if not hasattr(target, "write"):
-        target = open(target, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(target)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            target.close()
+    write_csv(target, ["tail", "head", "operated", "capacity_dual"], rows)

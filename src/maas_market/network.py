@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -176,24 +177,22 @@ def load_network(source) -> Network:
     return Network(nodes=nodes, links=tuple(sorted(links, key=lambda l: l.arc)))
 
 
+def write_csv(target, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``target``: an open text handle, left
+    open, or a path, opened and closed here."""
+    with (nullcontext(target) if hasattr(target, "write")
+          else open(target, "w", newline="")) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def dump_network(network: Network, target) -> None:
     """Write a link table; one normalization pass (sorted by arc) is applied."""
-    close = False
-    if not hasattr(target, "write"):
-        target = open(target, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(target)
-        writer.writerow(LINK_HEADER)
-        for link in sorted(network.links, key=lambda l: l.arc):
-            writer.writerow(
-                [link.tail, link.head,
-                 _fmt(link.travel_cost), _fmt(link.operating_cost),
-                 _fmt(link.capacity), link.owner]
-            )
-    finally:
-        if close:
-            target.close()
+    write_csv(target, LINK_HEADER,
+              ([link.tail, link.head, _fmt(link.travel_cost),
+                _fmt(link.operating_cost), _fmt(link.capacity), link.owner]
+               for link in sorted(network.links, key=lambda l: l.arc)))
 
 
 def load_demand(source) -> DemandTable:
@@ -215,20 +214,9 @@ def load_demand(source) -> DemandTable:
 
 
 def dump_demand(table: DemandTable, target) -> None:
-    close = False
-    if not hasattr(target, "write"):
-        target = open(target, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(target)
-        writer.writerow(DEMAND_HEADER)
-        for entry in sorted(table.entries, key=lambda e: e.od):
-            writer.writerow(
-                [entry.origin, entry.destination, _fmt(entry.demand), _fmt(entry.utility)]
-            )
-    finally:
-        if close:
-            target.close()
+    write_csv(target, DEMAND_HEADER,
+              ([entry.origin, entry.destination, _fmt(entry.demand), _fmt(entry.utility)]
+               for entry in sorted(table.entries, key=lambda e: e.od)))
 
 
 def _fmt(value: float) -> str:

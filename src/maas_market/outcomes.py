@@ -64,7 +64,6 @@ class OutcomeModel:
     p_index: dict          # (od, nodes, f) -> column
     objective_label: str
     options: OutcomeOptions
-    flows: dict            # (od, nodes) -> z
     revenue_terms: dict    # f -> [(column, z)] over f's price columns, in column order
 
 
@@ -140,8 +139,7 @@ def build_outcome_lp(
     lp.objective = objective
     return OutcomeModel(lp=lp, system=system, u_index=u_index,
                         p_index=p_index, objective_label=label,
-                        options=options, flows=flows,
-                        revenue_terms=revenue_terms)
+                        options=options, revenue_terms=revenue_terms)
 
 
 def _objective_vector(system, policy, u_index, revenue_terms, n):
@@ -240,18 +238,14 @@ def _assemble_outcome(model, objective, x, matching, network):
     system = model.system
     surplus = {od: max(0.0, float(x[col])) for od, col in model.u_index.items()}
     prices = {key: max(0.0, float(x[col])) for key, col in model.p_index.items()}
-    flows = model.flows
     subsidies = model.options.subsidies
 
     operators = {}
-    all_ops = sorted({f for (_, _, f) in prices} | set(system.covers))
-    for f in all_ops:
+    for f in sorted(set(model.revenue_terms) | set(system.covers)):
         revenue = ridership = 0.0
         fares = []
-        for (od, nodes, g), p in prices.items():
-            if g != f:
-                continue
-            z = flows.get((od, nodes), 0.0)
+        for col, z in model.revenue_terms.get(f, ()):
+            p = max(0.0, float(x[col]))
             revenue += p * z
             ridership += z
             if z > 0:
@@ -284,8 +278,7 @@ def _assemble_outcome(model, objective, x, matching, network):
                                    if total_demand > 0 else 0.0))
 
 
-def report(outcome: StableOutcome, matching: MatchingSolution | None = None,
-           timings: dict | None = None) -> dict:
+def report(outcome: StableOutcome, matching: MatchingSolution | None = None) -> dict:
     """JSON-ready metrics document mirroring the per-operator table layout."""
     doc = {
         "status": outcome.status,
@@ -319,6 +312,4 @@ def report(outcome: StableOutcome, matching: MatchingSolution | None = None,
     }
     if matching is not None:
         doc["matching_objective"] = matching.objective
-    if timings:
-        doc["timings_msec"] = dict(timings)
     return doc

@@ -16,6 +16,10 @@ from .closedform import CoopCompeteInstance, SmallVsLargeInstance
 from .network import DemandEntry, DemandTable, Link, Network
 
 BIG = 1e7
+MAX_NODES = 10
+MAX_OPERATORS = 4
+MAX_ODS = 3
+PATH_CAP = 20  # simple paths per OD
 
 
 def _still_routable(network: Network, demand: DemandTable) -> bool:
@@ -27,21 +31,14 @@ def _still_routable(network: Network, demand: DemandTable) -> bool:
     return solve_lp(lp).status == "optimal"
 
 
-def random_instance(
-    seed: int,
-    max_nodes: int = 10,
-    max_operators: int = 4,
-    max_ods: int = 3,
-    path_cap: int = 20,
-    tight_capacity: bool = True,
-) -> tuple[Network, DemandTable]:
-    """Small feasible instance with at most ``path_cap`` simple paths per OD."""
+def random_instance(seed: int) -> tuple[Network, DemandTable]:
+    """Small feasible instance with at most ``PATH_CAP`` simple paths per OD."""
     import networkx as nx
 
     rng = random.Random(seed)
     for attempt in range(200):
-        n = rng.randint(5, max_nodes)
-        num_ops = rng.randint(2, max_operators)
+        n = rng.randint(5, MAX_NODES)
+        num_ops = rng.randint(2, MAX_OPERATORS)
         ops = list(range(1, num_ops + 1))
         links = {}
         # chain backbone guarantees every forward OD is routable
@@ -65,7 +62,7 @@ def random_instance(
         network = Network(nodes=frozenset(range(1, n + 1)),
                           links=tuple(sorted(links.values(), key=lambda l: l.arc)))
         graph = nx.DiGraph(list(links))
-        num_ods = rng.randint(1, max_ods)
+        num_ods = rng.randint(1, MAX_ODS)
         od_pool = [(o, d) for o in range(1, n + 1) for d in range(1, n + 1)
                    if o < d]
         rng.shuffle(od_pool)
@@ -78,12 +75,12 @@ def random_instance(
             cheapest = None
             for nodes in nx.all_simple_paths(graph, od[0], od[1]):
                 count += 1
-                if count > path_cap:
+                if count > PATH_CAP:
                     break
                 cost = sum(links[a].travel_cost
                            for a in zip(nodes[:-1], nodes[1:]))
                 cheapest = cost if cheapest is None else min(cheapest, cost)
-            if count > path_cap or count == 0:
+            if count > PATH_CAP or count == 0:
                 continue
             demand = round(rng.uniform(5, 50), 1)
             utility = round(cheapest + rng.uniform(5, 60), 2)
@@ -93,7 +90,7 @@ def random_instance(
             rng = random.Random(f"{seed}-{attempt}")
             continue
         demand_table = DemandTable(entries=tuple(sorted(entries, key=lambda e: e.od)))
-        if tight_capacity and rng.random() < 0.6:
+        if rng.random() < 0.6:
             # shrink one shared backbone link to force a split or a dual,
             # keeping the instance routable
             total = demand_table.total_demand()

@@ -90,15 +90,21 @@ class ConstraintSystem:
     groups: dict                      # od -> OptimalPathSet
     covers: dict                      # operator -> (terms, rhs); terms: [(od, nodes, z_r)]
     stability_rows: list = field(default_factory=list)
+    _price_keys: list | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def price_variables(self):
-        """All (od, path nodes, operator) triples carrying a price variable."""
-        out = []
-        for od in sorted(self.groups):
-            for info in self.groups[od].paths:
-                for f in sorted(info.operators):
-                    out.append((od, info.nodes, f))
-        return out
+        """All (od, path nodes, operator) triples carrying a price variable.
+
+        Built on the first call; every later call returns the same list, so
+        the outcome models of one system share its key tuples.
+        """
+        if self._price_keys is None:
+            self._price_keys = [(od, info.nodes, f)
+                                for od in sorted(self.groups)
+                                for info in self.groups[od].paths
+                                for f in sorted(info.operators)]
+        return self._price_keys
 
     def render_text(self) -> str:
         lines = []

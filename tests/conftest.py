@@ -1,18 +1,17 @@
 import pytest
 
-from maas_market import (build_sioux_falls, decompose_flows, extract_duals,
-                         fig5, generate_constraints_algorithm1, solve_matching)
+from maas_market import (build_sioux_falls, decompose_flows, fig5,
+                         generate_constraints_algorithm1, solve_matching)
 from maas_market.randnet import random_instance
 
 
 def pipeline_artifacts(network, demand, subsidies=None):
     """Matching, duals, decomposition, and lexicographic constraint system."""
     matching = solve_matching(network, demand)
-    duals = extract_duals(network, demand, matching.activations)
-    decomposition = decompose_flows(network, demand, matching, duals)
+    decomposition = decompose_flows(network, demand, matching)
     system = generate_constraints_algorithm1(network, demand, matching,
                                              decomposition, subsidies=subsidies)
-    return matching, duals, decomposition, system
+    return matching, matching.duals, decomposition, system
 
 
 @pytest.fixture(scope="session")

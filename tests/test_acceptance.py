@@ -13,7 +13,7 @@ import pytest
 
 from maas_market import (Link, Network, ObjectivePolicy, OutcomeOptions,
                          build_outcome_lp, build_sioux_falls,
-                         check_core_nonempty, decompose_flows, extract_duals,
+                         check_core_nonempty, decompose_flows,
                          fig5, generate_constraints_algorithm1,
                          generate_constraints_enumeration, lemma1_lower_bound,
                          lemma2_upper_bound, solve_matching, solve_outcome)
@@ -276,8 +276,7 @@ def sioux_falls():
                                         capacity_scale=10 / 3)
     start = time.perf_counter()
     matching = solve_matching(network, demand)
-    duals = extract_duals(network, demand, matching.activations)
-    decomposition = decompose_flows(network, demand, matching, duals)
+    decomposition = decompose_flows(network, demand, matching)
     system = generate_constraints_algorithm1(network, demand, matching,
                                              decomposition)
     options = OutcomeOptions(
@@ -461,12 +460,12 @@ def test_criterion5_capacity_dual():
         if not _still_routable(tight, demand):
             return None
         matching1 = solve_matching(tight, demand)
-        duals1 = extract_duals(tight, demand, matching1.activations)
+        duals1 = matching1.duals
         if duals1[loaded.arc] <= 1e-6:
             return None
         relaxed = with_cap(flow * 0.9)
         matching2 = solve_matching(relaxed, demand)
-        duals2 = extract_duals(relaxed, demand, matching2.activations)
+        duals2 = matching2.duals
         gap = duals2[loaded.arc] - duals1[loaded.arc]
         return True if gap <= 1e-6 else f"mu rose by {gap}"
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from maas_market import dump_demand, dump_network
-from maas_market.cli import main
+from maas_market import dump_demand, dump_network, fig5
+from maas_market import matching as matching_module
+from maas_market.cli import main, run_pipeline
 from maas_market.randnet import random_instance
+from maas_market.scenario import PolicyAnnotations
 
 
 def _write(path, text):
@@ -31,6 +33,22 @@ def test_fixtures_writes_inputs(tmp_path, capsys):
     assert doc["links"] == 11 and doc["od_pairs"] == 2
     assert (tmp_path / "network.csv").exists()
     assert (tmp_path / "demand.csv").exists()
+
+
+def test_one_flow_lp_solve_per_equilibrium(monkeypatch):
+    # the flow LP gives the flows and the capacity duals in one solve
+    solves = []
+    solve_lp = matching_module.solve_lp
+
+    def counted(lp, *args, **kwargs):
+        solves.append(lp)
+        return solve_lp(lp, *args, **kwargs)
+
+    monkeypatch.setattr(matching_module, "solve_lp", counted)
+    for network, demand in (fig5(), random_instance(3)):
+        solves.clear()
+        run_pipeline(network, demand, PolicyAnnotations())
+        assert len(solves) == 1
 
 
 def test_run_golden_instance(tmp_path, fig5_files, capsys):

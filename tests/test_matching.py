@@ -56,8 +56,7 @@ def test_uncapacitated_duals_zero():
     network = Network(nodes=frozenset({1, 2, 3}), links=links)
     demand = DemandTable(entries=(DemandEntry(1, 3, 50, 100),))
     matching = solve_matching(network, demand)
-    duals = extract_duals(network, demand, matching.activations)
-    assert all(v == pytest.approx(0.0, abs=1e-9) for v in duals.values())
+    assert all(v == pytest.approx(0.0, abs=1e-9) for v in matching.duals.values())
 
 
 def test_parallel_route_dual_is_cost_gap():
@@ -70,14 +69,24 @@ def test_parallel_route_dual_is_cost_gap():
     network = Network(nodes=frozenset({1, 2, 3}), links=links)
     demand = DemandTable(entries=(DemandEntry(1, 2, 30, 100),))
     matching = solve_matching(network, demand)
-    duals = extract_duals(network, demand, matching.activations)
-    assert duals[(1, 2)] == pytest.approx(5.0, abs=1e-6)  # (4+2) - 1
+    assert matching.duals[(1, 2)] == pytest.approx(5.0, abs=1e-6)  # (4+2) - 1
 
 
 def test_zero_demand():
-    matching = solve_matching(_line_network(), DemandTable(entries=()))
+    network, demand = _line_network(), DemandTable(entries=())
+    matching = solve_matching(network, demand)
     assert matching.objective == 0.0
     assert all(y == 0 for y in matching.activations.values())
+    assert matching.duals == extract_duals(network, demand, matching.activations) \
+        == {(1, 2): 0.0}
+
+
+def test_matching_duals_equal_a_separate_dual_solve(reference_instances):
+    # solve_matching reads mu off the flow LP it solves for the flows
+    for network, demand, matching, _, _ in reference_instances:
+        assert set(matching.duals) == set(network.by_arc)
+        assert matching.duals == extract_duals(network, demand,
+                                               matching.activations)
 
 
 def test_missing_path_reported():

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from maas_market import (build_mcnd, build_sioux_falls, extract_duals, fig5,
+from maas_market import (build_mcnd, build_sioux_falls, fig5,
                          solve_lp, solve_matching, solve_milp)
 from maas_market.matching import _build_origin_aggregated, flow_lp
 from maas_market.randnet import random_instance
@@ -73,7 +73,7 @@ def test_matching_matches_scipy_milp():
 def test_flow_lp_agrees_with_literal_model():
     for label, network, demand in INSTANCES:
         matching = solve_matching(network, demand)
-        mu = extract_duals(network, demand, matching.activations)
+        mu = matching.duals
         # the literal per-OD model, activations fixed through their bounds
         lp = build_mcnd(network, demand).lp
         num_links = len(network.links)

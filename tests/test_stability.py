@@ -9,8 +9,9 @@ import pytest
 import maas_market
 from maas_market import (DemandEntry, DemandTable, Link, Network,
                          ObjectivePolicy, PathFlowSolution, build_outcome_lp,
-                         fig5, omega, optimal_path_sets, solve_outcome,
-                         subcoalitions)
+                         decompose_flows, extract_duals, fig5,
+                         generate_constraints_algorithm1, omega,
+                         optimal_path_sets, solve_outcome, subcoalitions)
 from maas_market import stability
 from maas_market.errors import (InfeasibleMatchingError, PathCapExceeded,
                                 SubcoalitionCapExceeded)
@@ -308,6 +309,19 @@ def test_single_operator_network_rows_have_no_price_terms():
     # the only alternative is owned by the same operator, so excluding it
     # leaves no deviation target: no rows at all
     assert system.stability_rows == []
+
+
+def test_decomposition_defaults_to_the_matching_duals(fig5_instance,
+                                                     fig5_pipeline):
+    network, demand = fig5_instance
+    matching = fig5_pipeline[0]
+    duals = extract_duals(network, demand, matching.activations)
+    implicit = generate_constraints_algorithm1(
+        network, demand, matching, decompose_flows(network, demand, matching))
+    explicit = generate_constraints_algorithm1(
+        network, demand, matching,
+        decompose_flows(network, demand, matching, duals))
+    assert implicit.render_text() == explicit.render_text()
 
 
 def test_no_dummy_price_variables(fig5_pipeline):
