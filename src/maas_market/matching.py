@@ -8,9 +8,24 @@ activated links.
 
 Solving goes through an origin-aggregated reformulation (commodities that
 share an origin are merged, which is exact because link costs do not depend
-on the commodity).  With the activations fixed, one origin-aggregated flow
-LP over the operated links gives both the link flows and the capacity duals,
-read from its capacity rows.  One lexicographic walk per origin splits its
+on the commodity).  Its branch-and-bound starts with links fixed open by a
+Lagrangian bound (Holmberg and Yuan, 2000).  Pricing each joint capacity row
+at lam = max(0, -dual) of the root LP leaves one uncapacitated shortest-path
+problem per origin, so any solution with link j closed costs at least
+
+    L_j = sum_o sum_d D_od dist_{G-j}(o, d) + sum_{k != j} min(0, f_k - lam_k M_k)
+
+with arc costs travel + lam and M_k = min(capacity, total demand); this holds
+for any lam >= 0, so inexact duals weaken the bound but never falsify it.
+Rounding every root activation above zero up to 1 gives a solution of cost U,
+so a link fractional at the root with L_j > U + 1e-6 max(1, |U|) is open in
+every optimum, and even in every solution within the solver's absolute gap;
+the relative margin covers the rounding in the sums.  Fixing it (Savelsbergh,
+1994) removes only solutions no optimum is among.
+
+With the activations fixed, one origin-aggregated flow LP over the operated
+links gives both the link flows and the capacity duals, read from its
+capacity rows.  One lexicographic walk per origin splits its
 flow into paths; summed per OD they give the per-OD flows, and merged per OD
 they are the canonical path decomposition.  All three models share one
 node-arc incidence builder.
@@ -19,6 +34,10 @@ node-arc incidence builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InfeasibleMatchingError, SolveNumericalError
 from .network import DUMMY_OPERATOR, DemandTable, Network, write_csv
@@ -139,10 +158,87 @@ def _build_origin_aggregated(network: Network, demand: DemandTable) -> MixedInte
     which then rounds to a closed link that carries flow.
     """
     _, balances = _origin_balances(demand)
-    total = demand.total_demand()
     lp, _ = _flow_model(network, network.links, balances,
-                        linking=[min(link.capacity, total) for link in network.links])
+                        linking=_linking(network, demand))
     return _activation_milp(lp, len(network.links))
+
+
+def _linking(network: Network, demand: DemandTable):
+    """Each link's joint-row coefficient ``min(capacity, total demand)``."""
+    total = demand.total_demand()
+    return [min(link.capacity, total) for link in network.links]
+
+
+def _lagrangian_bound(network: Network, origins, balances, linking, lam):
+    """The Lagrangian bound of the origin-aggregated model with its joint
+    rows priced at ``lam >= 0``, as ``bound(removed=None)``.
+
+    ``bound(j)`` is a lower bound on the cost of every solution with link
+    ``j`` closed, and ``bound()`` one on every solution.  Priced joint rows
+    leave the flows uncapacitated, so each origin ships its demand on
+    shortest paths over the other links at arc cost travel + lam; each
+    activation adds ``min(0, operating cost - lam * linking)``.  A demanded
+    node that no path reaches makes the bound ``inf``.
+    """
+    links = network.links
+    index = {node: i for i, node in enumerate(sorted(network.nodes))}
+    tails = np.array([index[link.tail] for link in links], dtype=int)
+    heads = np.array([index[link.head] for link in links], dtype=int)
+    weights = np.array([link.travel_cost for link in links]) + lam
+    activation = np.minimum(0.0, np.array([link.operating_cost for link in links])
+                            - lam * np.array(linking))
+    sinks = np.zeros((len(origins), len(index)))
+    for o, balance in enumerate(balances):
+        for node, net_outflow in balance.items():
+            sinks[o, index[node]] = max(0.0, -net_outflow)
+    demanded = sinks > 0
+    sources = [index[origin] for origin in origins]
+    order = np.lexsort((heads, tails))  # the CSR order of the arcs
+    slot = np.empty(len(links), dtype=int)
+    slot[order] = np.arange(len(links))
+    graph = sp.csr_matrix(
+        (weights[order], heads[order], np.searchsorted(tails[order], np.arange(len(index) + 1))),
+        shape=(len(index), len(index)))
+
+    def bound(removed=None):
+        if removed is None:
+            dist = dijkstra(graph, indices=sources)
+            return float(np.dot(dist[demanded], sinks[demanded]) + activation.sum())
+        graph.data[slot[removed]] = np.inf  # no path crosses an arc at infinite cost
+        dist = dijkstra(graph, indices=sources)
+        graph.data[slot[removed]] = weights[removed]
+        return float(np.dot(dist[demanded], sinks[demanded])
+                     + activation.sum() - activation[removed])
+
+    return bound
+
+
+def _root_fixings(network: Network, demand: DemandTable, lp: LinearProgram):
+    """``solve_milp``'s root hook for ``lp``, the origin-aggregated model:
+    which activations the Lagrangian bound proves open in every optimum.
+
+    At the root, rounding every activation above zero up to 1 and keeping the
+    root flows is a solution of cost U.  A link fractional at the root is
+    fixed open when closing it costs more, ``bound(j) > U + 1e-6 max(1, |U|)``
+    with ``lam = max(0, -dual)`` of the root's joint rows.
+    """
+    num_links = len(network.links)
+    y_offset, joint_offset = lp.num_vars - num_links, len(lp.rows) - num_links
+    origins, balances = _origin_balances(demand)
+    linking = _linking(network, demand)
+    flow_cost = np.array(lp.objective[:y_offset])
+    operating_cost = np.array(lp.objective[y_offset:])
+
+    def fixings(x, duals):
+        y = x[y_offset:]
+        upper = float(np.dot(flow_cost, x[:y_offset]) + operating_cost[y > 0].sum())
+        cutoff = upper + 1e-6 * max(1.0, abs(upper))
+        bound = _lagrangian_bound(network, origins, balances, linking,
+                                  np.maximum(0.0, -duals[joint_offset:]))
+        return {y_offset + j: 1 for j in range(num_links)
+                if abs(y[j] - round(y[j])) > 1e-9 and bound(j) > cutoff}
+
+    return fixings
 
 
 def flow_lp(network: Network, demand: DemandTable, activations):
@@ -209,7 +305,7 @@ def solve_matching(network: Network, demand: DemandTable) -> MatchingSolution:
                                 objective=0.0, path_flows=[],
                                 duals={l.arc: 0.0 for l in network.links})
     mip = _build_origin_aggregated(network, demand)
-    result = solve_milp(mip)
+    result = solve_milp(mip, root_fixings=_root_fixings(network, demand, mip.lp))
     if result.status == "infeasible":
         _diagnose_infeasible(network, demand)
     if result.status != "optimal":
@@ -229,10 +325,13 @@ def solve_matching(network: Network, demand: DemandTable) -> MatchingSolution:
     flows = {entry.od: {} for entry in demand.entries}
     paths = {entry.od: {} for entry in demand.entries}  # od -> {nodes: amount}
     num_links = len(links)
+    unmet_by_origin = {origin: {} for origin in origins}
+    for entry in demand.entries:
+        unmet_by_origin[entry.origin][entry.destination] = entry.demand
     for o_idx, origin in enumerate(origins):
         block = sub.x[o_idx * num_links:(o_idx + 1) * num_links]
         residual = {link.arc: float(v) for link, v in zip(links, block) if v > FLOW_EPS}
-        unmet = {e.destination: e.demand for e in demand.entries if e.origin == origin}
+        unmet = unmet_by_origin[origin]
         for nodes, amount in _walk_paths(origin, unmet, residual):
             od = (origin, nodes[-1])
             per_od = flows[od]
@@ -288,17 +387,19 @@ def _walk_paths(source, unmet, residual):
     closes a cycle cancels the cycle and starts again.  Flow left over once
     every sink is served is ignored.  Yields ``(nodes, amount)``.
     """
+    heads = {}  # tail -> heads in ascending order; spent arcs leave residual only
+    for tail, head in sorted(residual):
+        heads.setdefault(tail, []).append(head)
     while any(d > FLOW_EPS for d in unmet.values()):
         walk = [source]
         position = {source: 0}
         node = source
         cycle = None
         while unmet.get(node, 0.0) <= FLOW_EPS:
-            nexts = [h for (t, h) in residual if t == node]
-            if not nexts:
+            nxt = next((h for h in heads.get(node, ()) if (node, h) in residual), None)
+            if nxt is None:
                 raise SolveNumericalError(
                     f"flow from origin {source} dead-ends at node {node}")
-            nxt = min(nexts)
             if nxt in position:
                 cycle = walk[position[nxt]:] + [nxt]
                 break

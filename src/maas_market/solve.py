@@ -7,7 +7,15 @@ variable index.  It passes its model to one HiGHS handle once per solve.
 Each node changes only the bounds of the binaries, restores its parent's
 simplex basis and re-solves with the dual simplex from there.  It proves
 optimality to the absolute gap ``MIP_GAP`` and gives up with
-:class:`ResourceLimitExceeded` after ``NODE_LIMIT`` nodes.
+:class:`ResourceLimitExceeded` after ``NODE_LIMIT`` nodes.  A caller that
+can prove binaries fixed may pass a root hook: given the root LP's columns
+and row duals, it returns binaries whose value every optimum shares, and the
+search fixes them at every node after one warm re-solve of the root.  That
+is exact as long as the hook's proof is: a fixing only removes solutions
+that no optimum is among.  The matching's hook fixes a link open when a
+Lagrangian bound on closing it exceeds a known solution's cost by
+1e-6 max(1, |cost|), a relative margin at least ``MIP_GAP`` (see
+:mod:`maas_market.matching`).
 
 Pure LPs go through the same handle builder: one cold HiGHS solve, whose
 row duals are read from the solution.  An optimal LP result keeps its
@@ -213,6 +221,14 @@ def _extend(lp: LinearProgram, warm: SolveResult) -> _Handle:
     return handle
 
 
+def _row_duals(handle: _Handle, solution, num_rows: int) -> np.ndarray:
+    """The row duals of ``solution``, the handle's optimum, as
+    d(objective)/d(rhs) per LP row."""
+    duals = np.zeros(num_rows)
+    duals[handle.lp_rows] = handle.sign * handle.flips * np.asarray(solution.row_dual)
+    return duals
+
+
 def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
     """Solve a pure LP to an optimal basic solution with row duals.
 
@@ -235,15 +251,14 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
     if status != "optimal":
         return SolveResult(status=status)
     solution = highs.getSolution()
-    duals = np.zeros(len(lp.rows))
-    duals[handle.lp_rows] = handle.sign * handle.flips * np.asarray(solution.row_dual)
+    duals = _row_duals(handle, solution, len(lp.rows))
     handle.rows, handle.shape = tuple(lp.rows), (lp.num_vars, lp.maximize, lp.bounds)
     return SolveResult(status="optimal", x=np.array(solution.col_value),
                        objective=handle.sign * highs.getInfo().objective_function_value,
                        duals=duals, handle=handle)
 
 
-def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
+def solve_milp(mip: MixedIntegerProgram, root_fixings=None) -> SolveResult:
     """Solve a MILP to proven optimality within the absolute gap ``MIP_GAP``.
 
     Branch-and-bound on the binaries, each clamped to [0, 1], with
@@ -252,6 +267,13 @@ def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
     to the lowest index.  One HiGHS handle holds the model.  A node resets
     the bounds of every binary, fixing its branched ones, and re-solves from
     its parent's basis.
+
+    ``root_fixings(x, duals) -> {column: value}`` (private to this package)
+    is called once, when the root relaxation is optimal with a fractional
+    binary, with the root's columns and its row duals as :func:`solve_lp`
+    gives them.  It must return only binaries whose value every optimum
+    shares: the root re-solves warm with them fixed, and every node keeps
+    them.
     """
     if not mip.binary_vars:
         return solve_lp(mip.lp)
@@ -269,26 +291,17 @@ def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
         return (highs.getInfo().objective_function_value,
                 np.array(highs.getSolution().col_value), highs.getBasis())
 
-    def relax(fixings, basis):
+    def relax(fixings, basis=None):
+        """Re-solve with ``fixings``, from ``basis`` or the handle's own."""
         node = bounds.copy()
         for i, value in fixings.items():
             node[i] = value
         highs.changeColsBounds(len(cols), cols, node[cols, 0], node[cols, 1])
-        highs.setBasis(basis)
+        if basis is not None:
+            highs.setBasis(basis)
         return solved() if _run(highs) == "optimal" else None
 
-    counter = 0
-    incumbent_x = None
-    incumbent_val = math.inf  # minimization value
-    status = _run(highs)
-    if status != "optimal":
-        return SolveResult(status=status)
-    root_val, root_x, root_basis = solved()
-    heap = [(root_val, counter, {}, root_x, root_basis)]
-    while heap:
-        node_bound, _, fixings, x, basis = heapq.heappop(heap)
-        if node_bound >= incumbent_val - MIP_GAP:
-            break  # best-bound order: nothing left can improve
+    def most_fractional(x):
         frac_i, frac_dist = -1, -1.0
         for i in binaries:
             if abs(x[i] - round(x[i])) <= 1e-9:
@@ -296,6 +309,27 @@ def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
             dist = 0.5 - abs(x[i] - 0.5)
             if dist > frac_dist + 1e-9:
                 frac_i, frac_dist = i, dist
+        return frac_i
+
+    counter = 0
+    incumbent_x = None
+    incumbent_val = math.inf  # minimization value
+    status = _run(highs)
+    if status != "optimal":
+        return SolveResult(status=status)
+    root = solved()
+    root_fix = {}
+    if root_fixings is not None and most_fractional(root[1]) >= 0:
+        duals = _row_duals(handle, highs.getSolution(), len(lp.rows))
+        root_fix = root_fixings(root[1], duals)
+        if root_fix:
+            root = relax(root_fix)
+    heap = [(root[0], counter, root_fix, *root[1:])] if root is not None else []
+    while heap:
+        node_bound, _, fixings, x, basis = heapq.heappop(heap)
+        if node_bound >= incumbent_val - MIP_GAP:
+            break  # best-bound order: nothing left can improve
+        frac_i = most_fractional(x)
         if frac_i < 0:
             # integral solution
             if node_bound < incumbent_val:

@@ -1,6 +1,7 @@
 """The matching's models against each other: the bundled branch-and-bound
 against HiGHS's own MILP solver, the origin-aggregated flow LP against the
-literal per-commodity model, and the flow LP's size on Sioux Falls."""
+literal per-commodity model, the Lagrangian bound against the LP relaxation,
+and the flow LP's size on Sioux Falls."""
 
 from dataclasses import replace
 
@@ -9,13 +10,27 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from maas_market import (build_mcnd, build_sioux_falls, fig5,
+from maas_market import (build_mcnd, build_sioux_falls, fig5, solve,
                          solve_lp, solve_matching, solve_milp)
-from maas_market.matching import _build_origin_aggregated, flow_lp
+from maas_market.matching import (_build_origin_aggregated, _lagrangian_bound,
+                                  _linking, _origin_balances, _root_fixings,
+                                  flow_lp)
 from maas_market.randnet import random_instance
+from maas_market.scenario import Scenario, SetCapacity, apply_scenario
 from maas_market.solve import GE, LE
 
 INSTANCES = [("fig5", *fig5())] + [(f"seed {s}", *random_instance(s)) for s in range(50)]
+
+
+def _sioux_falls(cut=False):
+    """Sioux Falls (10/3), with every service link at 0.6x capacity if ``cut``."""
+    network, demand = build_sioux_falls(transfer_cost=2.0, utility=40.0,
+                                        capacity_scale=10 / 3)
+    if cut:
+        network, demand, _ = apply_scenario(network, demand, Scenario(edits=tuple(
+            SetCapacity(arc=link.arc, capacity=link.capacity * 0.6)
+            for link in network.links if link.owner != 0)))
+    return network, demand
 
 
 def _activations_unique(network, demand, activations, objective):
@@ -110,3 +125,70 @@ def test_sioux_falls_flow_lp_size():
     assert lp.num_vars == 24 * 98  # 2,352; one block per OD would be 528 * 98
     assert len(lp.rows) == 24 * 35 + 98
     assert capacity_rows == list(range(24 * 35, 24 * 35 + 98))
+
+
+def _root(mip):
+    """The solved root relaxation of ``mip``: its binaries in [0, 1]."""
+    bounds = mip.lp.effective_bounds()
+    for i in mip.binary_vars:
+        bounds[i] = (0.0, 1.0)
+    return solve_lp(replace(mip.lp, bounds=bounds))
+
+
+def _closed(root, column):
+    """The optimum of ``root``'s relaxation with ``column`` held at 0, or
+    None if infeasible: re-solved on ``root``'s handle, then restored."""
+    highs = root.handle.highs
+    cols = np.array([column], dtype=np.int32)
+    highs.changeColsBounds(1, cols, np.zeros(1), np.zeros(1))
+    value = (highs.getInfo().objective_function_value
+             if solve._run(highs) == "optimal" else None)
+    highs.changeColsBounds(1, cols, np.zeros(1), np.ones(1))
+    return value
+
+
+def test_lagrangian_bound_and_root_fixings():
+    fixed = {}
+    for label, network, demand in (INSTANCES + [("sioux falls", *_sioux_falls()),
+                                                ("sioux falls cut", *_sioux_falls(cut=True))]):
+        mip = _build_origin_aggregated(network, demand)
+        root = _root(mip)
+        num_links = len(network.links)
+        y_offset = mip.lp.num_vars - num_links
+        lam = np.maximum(0.0, -root.duals[len(mip.lp.rows) - num_links:])
+        bound = _lagrangian_bound(network, *_origin_balances(demand),
+                                  _linking(network, demand), lam)
+        # at the root duals the bound is the LP bound
+        assert bound() == pytest.approx(root.objective, rel=1e-9, abs=1e-9), label
+        fixings = _root_fixings(network, demand, mip.lp)(root.x, root.duals)
+        fixed[label] = len(fixings)
+        if not fixings:
+            continue
+        _, x = _scipy_milp(mip)
+        for column, value in fixings.items():
+            assert value == 1 and x[column] == pytest.approx(1.0), (label, column)
+            # closing the link costs the LP at least the Lagrangian bound
+            closed = _closed(root, column)
+            if closed is not None:
+                j = column - y_offset
+                assert bound(j) <= closed * (1 + 1e-9) + 1e-9, (label, j)
+    assert (fixed["sioux falls"], fixed["sioux falls cut"]) == (74, 50)
+    assert sum(n > 0 for n in fixed.values()) >= 10  # fixing happens off Sioux Falls too
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_sioux_falls_branch_and_bound_lp_count(monkeypatch, cut):
+    network, demand = _sioux_falls(cut)
+    mip = _build_origin_aggregated(network, demand)
+    runs = []
+    run = solve._run
+
+    def counted(highs):
+        runs.append(highs)
+        return run(highs)
+
+    monkeypatch.setattr(solve, "_run", counted)
+    solve_milp(mip, root_fixings=_root_fixings(network, demand, mip.lp))
+    # the root and its re-solve with the fixed links, then the search:
+    # 149 LPs on the base and 111 on the cut without the fixing
+    assert len(runs) == 2 if not cut else len(runs) <= 12

@@ -299,7 +299,8 @@ def _random_fixed_charge(seed):
 
 
 def _brute_force(mip, n_bin, caps, demand):
-    best = math.inf
+    """The optimum by enumeration, and the first activation pattern reaching it."""
+    best, best_pattern = math.inf, None
     lp = mip.lp
     for pattern in itertools.product((0, 1), repeat=n_bin):
         cap = sum(c for c, y in zip(caps, pattern) if y)
@@ -313,8 +314,9 @@ def _brute_force(mip, n_bin, caps, demand):
             cost += c * take
             left -= take
         cost += sum(lp.objective[n_bin + k] * pattern[k] for k in range(n_bin))
-        best = min(best, cost)
-    return best
+        if cost < best:
+            best, best_pattern = cost, pattern
+    return best, best_pattern
 
 
 def test_fixed_charge_matches_enumeration():
@@ -322,8 +324,62 @@ def test_fixed_charge_matches_enumeration():
         mip, n_bin, caps, demand = _random_fixed_charge(seed)
         result = solve_milp(mip)
         assert result.status == "optimal"
-        expected = _brute_force(mip, n_bin, caps, demand)
+        expected, _ = _brute_force(mip, n_bin, caps, demand)
         assert result.objective == pytest.approx(expected, abs=1e-6)
+
+
+def _root_relaxation(mip):
+    """The root LP of ``mip``: its binaries relaxed to [0, 1]."""
+    bounds = mip.lp.effective_bounds()
+    for i in mip.binary_vars:
+        bounds[i] = (max(bounds[i][0], 0.0), min(bounds[i][1], 1.0))
+    return replace(mip.lp, bounds=bounds)
+
+
+def test_root_fixings_of_an_optimum_keep_the_optimum():
+    fixed = 0
+    for seed in range(15):
+        mip, n_bin, caps, demand = _random_fixed_charge(seed)
+        expected, pattern = _brute_force(mip, n_bin, caps, demand)
+        root = solve_lp(_root_relaxation(mip))
+        calls = []
+
+        def open_in_optimum(x, duals):
+            # the hook sees the root LP's columns and duals as solve_lp gives them
+            np.testing.assert_array_equal(x, root.x)
+            np.testing.assert_array_equal(duals, root.duals)
+            calls.append(x)
+            return {n_bin + k: 1 for k in range(n_bin) if pattern[k]}
+
+        result = solve_milp(mip, root_fixings=open_in_optimum)
+        assert result.objective == pytest.approx(expected, abs=1e-6), seed
+        fractional = any(abs(root.x[i] - round(root.x[i])) > 1e-9
+                         for i in mip.binary_vars)
+        assert len(calls) == int(fractional), seed
+        fixed += len(calls)
+        # the fixings hold at every node, so fixing every binary opens them all
+        opened = solve_milp(mip, root_fixings=lambda x, duals: dict.fromkeys(
+            mip.binary_vars, 1))
+        assert opened.objective >= expected - 1e-6
+        if fractional:
+            assert all(opened.x[i] == 1 for i in mip.binary_vars), seed
+    assert fixed >= 5  # the hook ran on most seeds
+
+
+def test_root_fixings_skipped_at_an_integral_or_infeasible_root():
+    def never(x, duals):
+        raise AssertionError("root_fixings called")
+
+    integral = LinearProgram(num_vars=2, objective=[3.0, 2.0], maximize=True)
+    integral.add_row([(0, 1.0), (1, 1.0)], LE, 1.0)
+    result = solve_milp(MixedIntegerProgram(lp=integral, binary_vars=frozenset({0, 1})),
+                        root_fixings=never)
+    assert result.objective == pytest.approx(3.0)
+    infeasible = LinearProgram(num_vars=1, objective=[1.0])
+    infeasible.add_row([(0, 1.0)], GE, 1.5)
+    result = solve_milp(MixedIntegerProgram(lp=infeasible, binary_vars=frozenset({0})),
+                        root_fixings=never)
+    assert result.status == "infeasible"
 
 
 def test_bundled_node_cap(monkeypatch):
@@ -343,10 +399,20 @@ def test_bundled_passes_one_highs_model(monkeypatch):
 
     monkeypatch.setattr(solve, "_Highs", Counted)
     mip, n_bin, caps, demand = _random_fixed_charge(3)
+    expected, pattern = _brute_force(mip, n_bin, caps, demand)
     result = solve_milp(mip)
-    assert result.objective == pytest.approx(_brute_force(mip, n_bin, caps, demand),
-                                             abs=1e-6)
+    assert result.objective == pytest.approx(expected, abs=1e-6)
     assert len(models) == 1
+    # the root re-solve after fixing stays on the same handle
+    calls = []
+
+    def open_in_optimum(x, duals):
+        calls.append(x)
+        return {n_bin + k: 1 for k in range(n_bin) if pattern[k]}
+
+    result = solve_milp(mip, root_fixings=open_in_optimum)
+    assert result.objective == pytest.approx(expected, abs=1e-6)
+    assert len(calls) == 1 and len(models) == 2
 
 
 def test_milp_infeasible_status():
