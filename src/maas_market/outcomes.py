@@ -15,6 +15,12 @@ so the primal simplex starts from a feasible basis; only the model's
 first solve is cold.  Where revenues tie, prices are not unique, and a
 warm stage may stop at another optimal price split than a cold one would;
 revenues and the objective do not move.
+
+The rows that no policy or option changes -- the surplus equalities, the
+operator covers and the stability rows -- are built once per
+``ConstraintSystem`` and kept in its cache, as its price variables are.
+Each model copies them, sharing their arrays, and adds only its fixed-fare
+rows and its objective.
 """
 
 from __future__ import annotations
@@ -97,37 +103,18 @@ def build_outcome_lp(
     policy: ObjectivePolicy,
     options: OutcomeOptions = OutcomeOptions(),
 ) -> OutcomeModel:
-    """Assemble the stable-outcome LP for one objective policy."""
-    u_index = {od: i for i, od in enumerate(sorted(system.groups))}
-    p_vars = system.price_variables()
-    p_index = {key: len(u_index) + i for i, key in enumerate(p_vars)}
+    """Assemble the stable-outcome LP for one objective policy.
+
+    The rows that no policy or option changes are built once per system and
+    kept in its cache; each model copies them and adds only its fixed-fare
+    rows and its objective.
+    """
+    u_index, p_index, revenue_terms = _columns(system)
     n = len(u_index) + len(p_index)
-    lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True)
-    flows = {(od, nodes): z for terms, _ in system.covers.values()
-             for od, nodes, z in terms}
-    revenue_terms = {}
-    for (od, nodes, f), col in p_index.items():
-        revenue_terms.setdefault(f, []).append((col, flows.get((od, nodes), 0.0)))
-
-    # surplus equalities: u_s + sum_f p_rf = U_s - travel cost, per optimal path
-    for od in sorted(system.groups):
-        pset = system.groups[od]
-        for info in pset.paths:
-            coeffs = [(u_index[od], 1.0)]
-            coeffs += [(p_index[(od, info.nodes, f)], 1.0)
-                       for f in sorted(info.operators)]
-            lp.add_row(coeffs, EQ, pset.utility - info.travel_cost)
-
-    # operator cost covers: sum z_r p_rf >= operated cost net of subsidies
-    for f in sorted(system.covers):
-        terms, rhs = system.covers[f]
-        coeffs = [(p_index[(od, nodes, f)], z) for od, nodes, z in terms if z > 0]
-        lp.add_row(coeffs, GE, rhs)
-
-    for row in system.stability_rows:
-        coeffs = [(u_index[row.group], 1.0)]
-        coeffs += [(p_index[(row.group, nodes, f)], 1.0) for nodes, f in row.terms]
-        lp.add_row(coeffs, GE, row.bound)
+    rows = system.cached("outcome_rows",
+                         lambda: _policy_free_rows(system, u_index, p_index))
+    lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True,
+                       rows=rows.copy())
 
     # fixed-fare tying: one common price across all paths of a flagged operator
     for f in sorted(options.fixed_fare_operators):
@@ -140,6 +127,53 @@ def build_outcome_lp(
     return OutcomeModel(lp=lp, system=system, u_index=u_index,
                         p_index=p_index, objective_label=label,
                         options=options, revenue_terms=revenue_terms)
+
+
+def _columns(system: ConstraintSystem):
+    """The column of each surplus and price variable, and each operator's
+    revenue terms ``[(column, z_r)]`` in column order."""
+    u_index = {od: i for i, od in enumerate(sorted(system.groups))}
+    p_vars = system.price_variables()
+    p_index = {key: len(u_index) + i for i, key in enumerate(p_vars)}
+    flows = {(od, nodes): z for terms, _ in system.covers.values()
+             for od, nodes, z in terms}
+    revenue_terms = {}
+    for (od, nodes, f), col in p_index.items():
+        revenue_terms.setdefault(f, []).append((col, flows.get((od, nodes), 0.0)))
+    return u_index, p_index, revenue_terms
+
+
+def _policy_free_rows(system: ConstraintSystem, u_index, p_index):
+    """The surplus equalities, the operator covers and the stability rows:
+    the rows of the outcome LP that no policy or option changes."""
+    lp = LinearProgram(num_vars=len(u_index) + len(p_index), objective=[])
+
+    # surplus equalities: u_s + sum_f p_rf = U_s - travel cost, per optimal path
+    _add_unit_rows(lp, EQ, [
+        ([u_index[od]] + [p_index[(od, info.nodes, f)] for f in sorted(info.operators)],
+         pset.utility - info.travel_cost)
+        for od, pset in sorted(system.groups.items()) for info in pset.paths])
+
+    # operator cost covers: sum z_r p_rf >= operated cost net of subsidies
+    for f in sorted(system.covers):
+        terms, rhs = system.covers[f]
+        coeffs = [(p_index[(od, nodes, f)], z) for od, nodes, z in terms if z > 0]
+        lp.add_row(coeffs, GE, rhs)
+
+    _add_unit_rows(lp, GE, [
+        ([u_index[row.group]] + [p_index[(row.group, nodes, f)] for nodes, f in row.terms],
+         row.bound)
+        for row in system.stability_rows])
+    return lp.rows
+
+
+def _add_unit_rows(lp: LinearProgram, sense, rows) -> None:
+    """Append ``rows``, each ``(columns, rhs)`` with every coefficient 1."""
+    start = [0]
+    for columns, _ in rows:
+        start.append(start[-1] + len(columns))
+    lp.add_rows(start, [j for columns, _ in rows for j in columns], [1.0] * start[-1],
+                sense, [rhs for _, rhs in rows])
 
 
 def _objective_vector(system, policy, u_index, revenue_terms, n):
@@ -215,7 +249,7 @@ def _lexicographic_revenue_tiebreak(model, primary):
     the rows, so ``model`` is unchanged.
     """
     lp = model.lp
-    stage = replace(lp, rows=list(lp.rows))
+    stage = replace(lp, rows=lp.rows.copy())
     stage.add_row([(i, v) for i, v in enumerate(lp.objective) if v != 0],
                   EQ, primary.objective)
     result = primary

@@ -9,6 +9,7 @@ JSON document: a list of objects, each with an ``edit`` key naming the type.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -93,8 +94,13 @@ def apply_scenario(network: Network, demand: DemandTable,
                    scenario: Scenario) -> tuple[Network, DemandTable, PolicyAnnotations]:
     """Apply edits in order; pure, the inputs are never mutated."""
     annotations = PolicyAnnotations()
-    for edit in scenario.edits:
-        network = _apply_edit(network, annotations, edit)
+    for capacities, run in itertools.groupby(
+            scenario.edits, key=lambda edit: isinstance(edit, SetCapacity)):
+        if capacities:
+            network = _set_capacities(network, run)
+            continue
+        for edit in run:
+            network = _apply_edit(network, annotations, edit)
     try:
         demand.validate_against(network)
     except ValidationError as exc:
@@ -122,14 +128,25 @@ def _require_operator(network, operator):
         raise ScenarioError(f"edit references unknown operator {operator}")
 
 
-def _apply_edit(network, annotations, edit):
-    if isinstance(edit, SetCapacity):
-        link = network.by_arc.get(tuple(edit.arc))
+def _set_capacities(network, edits):
+    """Apply a run of ``SetCapacity`` edits with one ``replace_links``.
+
+    Each edit is checked in order, as one ``replace_links`` per edit would
+    check it: a missing link raises ``ScenarioError``, and an invalid
+    capacity the ``ValidationError`` of its link.
+    """
+    changed = {}
+    for edit in edits:
+        arc = tuple(edit.arc)
+        link = network.by_arc.get(arc)
         if link is None:
             raise ScenarioError(f"set_capacity: no link {edit.arc}")
-        return network.replace_links(
-            [replace(l, capacity=edit.capacity) if l.arc == tuple(edit.arc) else l
-             for l in network.links])
+        changed[arc] = replace(link, capacity=edit.capacity)
+        changed[arc].validate()
+    return network.replace_links([changed.get(l.arc, l) for l in network.links])
+
+
+def _apply_edit(network, annotations, edit):
     if isinstance(edit, ScaleCosts):
         _require_operator(network, edit.operator)
         return network.replace_links(

@@ -1,5 +1,14 @@
 """Exact LP/MILP layer with dual extraction.
 
+An LP keeps its rows as CSR arrays (:class:`Rows`) from the model builders
+to HiGHS: builders append whole blocks of rows with
+:meth:`LinearProgram.add_rows`, the handle builder reorders and transposes
+them with numpy, and HiGHS takes the arrays through the array form of
+``passModel``.  No model passes through ``scipy.sparse`` or per-coefficient
+Python on its way to HiGHS.  Read as a sequence, the rows are :class:`Row`
+values built from the arrays.  HiGHS rejects a row that lists a column
+twice, and so does the solver, with ``ValueError``.
+
 Mixed-integer programs are solved by a deterministic branch-and-bound over
 the binary variables with LP-relaxation bounds (Land and Doig, 1960):
 best-bound node order, most-fractional branching, ties broken by lowest
@@ -41,13 +50,14 @@ problem's own optimization sense.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
-                                           MatrixFormat, _Highs)
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus,
+                                           MatrixFormat, ObjSense, _Highs)
 
 from .errors import ResourceLimitExceeded, SolveNumericalError
 
@@ -61,11 +71,133 @@ _LP_STATUS = {HighsModelStatus.kOptimal: "optimal",
               HighsModelStatus.kUnbounded: "unbounded"}
 
 
-@dataclass
+_SENSES = (LE, EQ, GE)  # a row's sense is stored as its index here
+_LE, _EQ, _GE = range(3)
+
+
+def _sense_index(sense) -> int:
+    if sense not in _SENSES:
+        raise ValueError(f"unknown row sense {sense!r}")
+    return _SENSES.index(sense)
+
+
+@dataclass(frozen=True)
 class Row:
     coeffs: list[tuple[int, float]]
     sense: str
     rhs: float
+
+
+class Rows(Sequence):
+    """The rows of an LP as CSR arrays.
+
+    Row ``k`` has the columns ``index[start[k]:start[k + 1]]``, the
+    coefficients ``value`` at the same positions, the sense ``sense[k]`` (an
+    index into ``(LE, EQ, GE)``) and the right-hand side ``rhs[k]``;
+    :meth:`csr` returns these five arrays.  As a sequence the rows read as
+    :class:`Row` values.
+
+    The rows are kept as a list of blocks, each five such arrays, that are
+    never written once built.  :meth:`extend` adds a block, and rows added
+    one at a time become one block when the rows are next read.  A
+    :meth:`copy` shares the blocks, and later additions to either side leave
+    the other unchanged; a copy extended with new rows still starts with
+    the very blocks of its original, which makes :meth:`after` cheap.
+    """
+
+    def __init__(self, rows=()):
+        self._blocks = []
+        self._count = 0      # rows in the blocks
+        self._pending = []   # (coeffs, sense index, rhs) of rows after the blocks
+        self._merged = None  # the blocks as one, once csr() has built it
+        for row in rows:
+            self.append(row.coeffs, row.sense, row.rhs)
+
+    def append(self, coeffs, sense, rhs) -> None:
+        self._pending.append((coeffs, _sense_index(sense), rhs))
+
+    def extend(self, start, index, value, sense, rhs) -> None:
+        """Add rows in CSR form, all with ``sense``; keeps the arrays."""
+        code = _sense_index(sense)
+        self._flush()
+        self._add((start, index, value, np.full(len(rhs), code, dtype=np.int8), rhs))
+
+    def _add(self, block) -> None:
+        self._blocks.append(block)
+        self._count += len(block[4])
+        self._merged = None
+
+    def _flush(self) -> None:
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._add((np.array([0, *itertools.accumulate(len(c) for c, _, _ in pending)]),
+                       np.array([j for c, _, _ in pending for j, _ in c], dtype=np.int32),
+                       np.array([v for c, _, _ in pending for _, v in c], dtype=float),
+                       np.array([sense for _, sense, _ in pending], dtype=np.int8),
+                       np.array([rhs for _, _, rhs in pending], dtype=float)))
+
+    def csr(self):
+        """The arrays ``(start, index, value, sense, rhs)`` of every row."""
+        self._flush()
+        if self._merged is None:
+            self._merged = _merge(self._blocks)
+        return self._merged
+
+    def copy(self) -> Rows:
+        self._flush()
+        rows = Rows()
+        rows._blocks, rows._count, rows._merged = list(self._blocks), self._count, self._merged
+        return rows
+
+    def after(self, prefix: Rows):
+        """The arrays of the rows past ``prefix`` as :meth:`csr` gives them,
+        or None unless these rows start with ``prefix``'s."""
+        self._flush()
+        prefix._flush()
+        n = len(prefix._blocks)
+        if len(self._blocks) >= n and all(a is b for a, b in zip(self._blocks, prefix._blocks)):
+            return _merge(self._blocks[n:])
+        mine, theirs = self.csr(), prefix.csr()
+        m, nnz = len(theirs[4]), theirs[0][-1]
+        if len(mine[4]) < m or not all(
+                np.array_equal(a[:size], b)
+                for a, b, size in zip(mine, theirs, (m + 1, nnz, nnz, m, m))):
+            return None
+        return (mine[0][m:] - nnz, mine[1][nnz:], mine[2][nnz:], mine[3][m:], mine[4][m:])
+
+    def __len__(self) -> int:
+        return self._count + len(self._pending)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # IndexError past either end
+        start, index, value, sense, rhs = self.csr()
+        a, b = start[k], start[k + 1]
+        return Row(list(zip(index[a:b].tolist(), value[a:b].tolist())),
+                   _SENSES[sense[k]], float(rhs[k]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Rows({list(self)!r})"
+
+
+def _merge(blocks):
+    """One block of CSR arrays holding ``blocks`` in order."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32),
+                np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
+    offsets = np.cumsum([0] + [block[0][-1] for block in blocks])
+    return (np.concatenate([[0]] + [block[0][1:] + offset
+                                    for block, offset in zip(blocks, offsets)]),
+            *(np.concatenate([block[i] for block in blocks], dtype=dtype)
+              for i, dtype in ((1, np.int32), (2, float), (3, np.int8), (4, float))))
 
 
 @dataclass
@@ -73,9 +205,14 @@ class LinearProgram:
     num_vars: int
     objective: list[float]
     maximize: bool = False
-    rows: list[Row] = field(default_factory=list)
+    # any sequence of Row is taken into a Rows of its own
+    rows: Rows = field(default_factory=Rows)
     # per-variable (lower, upper); None entries default to (0, +inf)
     bounds: list[tuple[float, float]] | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.rows, Rows):
+            self.rows = Rows(self.rows)
 
     def add_row(self, coeffs, sense, rhs) -> int:
         for idx, val in coeffs:
@@ -85,8 +222,31 @@ class LinearProgram:
                 raise ValueError("non-finite coefficient")
         if not math.isfinite(rhs):
             raise ValueError("non-finite rhs")
-        self.rows.append(Row(list(coeffs), sense, float(rhs)))
+        self.rows.append(list(coeffs), sense, float(rhs))
         return len(self.rows) - 1
+
+    def add_rows(self, start, index, value, sense, rhs) -> range:
+        """Append rows in CSR form, all with ``sense``: row ``k`` has the
+        columns ``index[start[k]:start[k + 1]]``, the coefficients ``value``
+        at the same positions and the right-hand side ``rhs[k]``.  Checks
+        what :meth:`add_row` checks; returns the new rows' indices."""
+        # copies: the rows keep these arrays, and the caller may reuse its own
+        start, index = np.array(start, dtype=np.int64), np.asarray(index)
+        value, rhs = np.array(value, dtype=float), np.array(rhs, dtype=float)
+        if (any(a.ndim != 1 for a in (start, index, value, rhs))
+                or len(start) != len(rhs) + 1 or start[0] != 0
+                or start[-1] != len(index) or len(value) != len(index)
+                or (start[1:] < start[:-1]).any()):
+            raise ValueError("start, index, value and rhs do not form CSR rows")
+        if index.size and (index.min() < 0 or index.max() >= self.num_vars):
+            raise ValueError("column out of range")
+        if not np.isfinite(value).all():
+            raise ValueError("non-finite coefficient")
+        if not np.isfinite(rhs).all():
+            raise ValueError("non-finite rhs")
+        first = len(self.rows)
+        self.rows.extend(start, index.astype(np.int32), value, sense, rhs)
+        return range(first, len(self.rows))
 
     def effective_bounds(self) -> list[tuple[float, float]]:
         if self.bounds is None:
@@ -124,8 +284,15 @@ class _Handle:
     lp_rows: np.ndarray              # LP row index of each handle row
     flips: np.ndarray                # -1 where the handle negated a >= row
     sign: float                      # -1 when the LP maximizes
-    rows: tuple = ()                 # the LP rows on the handle, in LP order
+    rows: Rows | None = None         # the LP rows on the handle, in LP order
     shape: tuple = ()                # the LP's (num_vars, maximize, bounds)
+
+
+def _column_bounds(lp: LinearProgram) -> np.ndarray:
+    """``lp.effective_bounds()`` as an (n, 2) array."""
+    if lp.bounds is None:
+        return np.column_stack((np.zeros(lp.num_vars), np.full(lp.num_vars, np.inf)))
+    return np.array(lp.bounds, dtype=float)
 
 
 def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
@@ -142,37 +309,37 @@ def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
     on the cut, and on ``random_instance(275)`` the buyer objective, from
     47.659 to 45.961.
     """
-    ineq = [k for k, row in enumerate(lp.rows) if row.sense != EQ]
-    eq = [k for k, row in enumerate(lp.rows) if row.sense == EQ]
-    rows = [lp.rows[k] for k in ineq + eq]
-    flips = np.array([-1.0 if row.sense == GE else 1.0 for row in rows])
-    rhs = flips * np.array([row.rhs for row in rows], dtype=float)
-    lengths = [len(row.coeffs) for row in rows]
-    values = np.array([val for row in rows for _, val in row.coeffs], dtype=float)
-    A = sp.csc_matrix(
-        (np.repeat(flips, lengths) * values,
-         (np.repeat(np.arange(len(rows)), lengths),
-          np.array([idx for row in rows for idx, _ in row.coeffs], dtype=int))),
-        shape=(len(rows), lp.num_vars))
-    model = HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
-    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    start, index, value, sense, rhs = lp.rows.csr()
+    eq = sense == _EQ
+    order = np.argsort(eq, kind="stable")  # LP row per handle row
+    flips = np.where(sense[order] == _GE, -1.0, 1.0)
+    lengths = (start[1:] - start[:-1])[order]
+    # each handle row's entries, in handle row order; a stable sort by column
+    # keeps every column's rows ascending, the CSC order of scipy.sparse
+    rows = np.repeat(np.arange(len(order)), lengths)
+    at = np.arange(len(rows)) + np.repeat(start[order] - lengths.cumsum() + lengths, lengths)
+    cols = index[at]
+    by_col = np.argsort(cols, kind="stable")
+    cols = cols[by_col]
+    if cols.size and (cols[0] < 0 or cols[-1] >= lp.num_vars):
+        raise ValueError("column out of range")
+    upper = flips * rhs[order]
     sign = -1.0 if lp.maximize else 1.0
-    model.col_cost_ = sign * np.asarray(lp.objective, dtype=float)
-    model.col_lower_ = bounds[:, 0]
-    model.col_upper_ = bounds[:, 1]
-    model.row_lower_ = np.concatenate((np.full(len(ineq), -np.inf), rhs[len(ineq):]))
-    model.row_upper_ = rhs
-    model.a_matrix_.format_ = MatrixFormat.kColwise
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = A.data
     highs = _Highs()
     highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as linprog sets
     highs.setOptionValue("output_flag", False)
-    highs.passModel(model)
-    return _Handle(highs=highs, lp_rows=np.array(ineq + eq, dtype=int),
-                   flips=flips, sign=sign)
+    # the array form of passModel: a_start holds each column's first entry
+    status = highs.passModel(
+        lp.num_vars, len(order), len(cols), int(MatrixFormat.kColwise),
+        int(ObjSense.kMinimize), 0.0, sign * np.asarray(lp.objective, dtype=float),
+        bounds[:, 0], bounds[:, 1], np.where(eq[order], upper, -np.inf), upper,
+        np.searchsorted(cols, np.arange(lp.num_vars)), rows[by_col],
+        (np.repeat(flips, lengths) * value[at])[by_col],
+        np.zeros(lp.num_vars, dtype=np.int32))  # every column continuous
+    if status == HighsStatus.kError:
+        raise ValueError("HiGHS rejected the LP: a row lists a column twice, "
+                         "or a cost or bound is not valid")
+    return _Handle(highs=highs, lp_rows=order, flips=flips, sign=sign)
 
 
 def _run(highs) -> str:
@@ -193,27 +360,23 @@ def _extend(lp: LinearProgram, warm: SolveResult) -> _Handle:
     if handle is None:
         raise ValueError("warm start needs an optimal LP result whose "
                          "handle no later solve has taken")
-    solved = handle.rows
-    if ((lp.num_vars, lp.maximize, lp.bounds) != handle.shape
-            or len(lp.rows) < len(solved)
-            or not all(a is b or a == b for a, b in zip(lp.rows, solved))):
+    new = lp.rows.after(handle.rows)
+    if (lp.num_vars, lp.maximize, lp.bounds) != handle.shape or new is None:
         raise ValueError("warm start needs the same columns, sense and bounds, "
                          "and the solved rows as a prefix of the rows")
+    start, index, value, sense, rhs = new
+    if len(rhs):
+        status = handle.highs.addRows(
+            len(rhs), np.where(sense == _LE, -np.inf, rhs),
+            np.where(sense == _GE, np.inf, rhs), len(index),
+            start[:-1].astype(np.int32), index, value)
+        if status == HighsStatus.kError:
+            raise ValueError("HiGHS rejected the new rows: a column out of "
+                             "range or listed twice in a row")
+        first = len(handle.lp_rows)
+        handle.lp_rows = np.concatenate((handle.lp_rows, np.arange(first, first + len(rhs))))
+        handle.flips = np.concatenate((handle.flips, np.ones(len(rhs))))
     warm.handle = None
-    new = lp.rows[len(solved):]
-    if new:
-        lower = [row.rhs if row.sense != LE else -math.inf for row in new]
-        upper = [row.rhs if row.sense != GE else math.inf for row in new]
-        starts = np.cumsum([0] + [len(row.coeffs) for row in new[:-1]])
-        indices = [idx for row in new for idx, _ in row.coeffs]
-        values = [val for row in new for _, val in row.coeffs]
-        handle.highs.addRows(len(new), np.array(lower), np.array(upper),
-                             len(indices), starts.astype(np.int32),
-                             np.array(indices, dtype=np.int32),
-                             np.array(values, dtype=float))
-        handle.lp_rows = np.concatenate(
-            (handle.lp_rows, np.arange(len(solved), len(lp.rows))))
-        handle.flips = np.concatenate((handle.flips, np.ones(len(new))))
     handle.highs.changeColsCost(
         lp.num_vars, np.arange(lp.num_vars, dtype=np.int32),
         handle.sign * np.asarray(lp.objective, dtype=float))
@@ -243,7 +406,7 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
     if warm is None:
-        handle = _highs_handle(lp, np.array(lp.effective_bounds(), dtype=float))
+        handle = _highs_handle(lp, _column_bounds(lp))
     else:
         handle = _extend(lp, warm)
     highs = handle.highs
@@ -252,7 +415,7 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
         return SolveResult(status=status)
     solution = highs.getSolution()
     duals = _row_duals(handle, solution, len(lp.rows))
-    handle.rows, handle.shape = tuple(lp.rows), (lp.num_vars, lp.maximize, lp.bounds)
+    handle.rows, handle.shape = lp.rows.copy(), (lp.num_vars, lp.maximize, lp.bounds)
     return SolveResult(status="optimal", x=np.array(solution.col_value),
                        objective=handle.sign * highs.getInfo().objective_function_value,
                        duals=duals, handle=handle)
@@ -279,7 +442,7 @@ def solve_milp(mip: MixedIntegerProgram, root_fixings=None) -> SolveResult:
         return solve_lp(mip.lp)
     lp = mip.lp
     binaries = sorted(mip.binary_vars)
-    bounds = np.array(lp.effective_bounds(), dtype=float)
+    bounds = _column_bounds(lp)
     bounds[binaries, 0] = np.maximum(bounds[binaries, 0], 0.0)
     bounds[binaries, 1] = np.minimum(bounds[binaries, 1], 1.0)
     handle = _highs_handle(lp, bounds)

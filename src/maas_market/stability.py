@@ -90,8 +90,18 @@ class ConstraintSystem:
     groups: dict                      # od -> OptimalPathSet
     covers: dict                      # operator -> (terms, rhs); terms: [(od, nodes, z_r)]
     stability_rows: list = field(default_factory=list)
-    _price_keys: list | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def cached(self, key, build):
+        """``build()``, called on the first request for ``key`` only.
+
+        Generation fills a system once, so what ``build`` derives from it
+        stays valid; every later call returns the same object.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def price_variables(self):
         """All (od, path nodes, operator) triples carrying a price variable.
@@ -99,12 +109,11 @@ class ConstraintSystem:
         Built on the first call; every later call returns the same list, so
         the outcome models of one system share its key tuples.
         """
-        if self._price_keys is None:
-            self._price_keys = [(od, info.nodes, f)
-                                for od in sorted(self.groups)
-                                for info in self.groups[od].paths
-                                for f in sorted(info.operators)]
-        return self._price_keys
+        return self.cached("price_variables", lambda: [
+            (od, info.nodes, f)
+            for od in sorted(self.groups)
+            for info in self.groups[od].paths
+            for f in sorted(info.operators)])
 
     def render_text(self) -> str:
         lines = []

@@ -12,9 +12,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from maas_market import (build_mcnd, build_sioux_falls, fig5, solve,
                          solve_lp, solve_matching, solve_milp)
-from maas_market.matching import (_build_origin_aggregated, _lagrangian_bound,
-                                  _linking, _origin_balances, _root_fixings,
-                                  flow_lp)
+from maas_market.matching import (_build_origin_aggregated, _flow_model,
+                                  _lagrangian_bound, _linking, _origin_balances,
+                                  _root_fixings, flow_lp)
 from maas_market.randnet import random_instance
 from maas_market.scenario import Scenario, SetCapacity, apply_scenario
 from maas_market.solve import GE, LE
@@ -125,6 +125,22 @@ def test_sioux_falls_flow_lp_size():
     assert lp.num_vars == 24 * 98  # 2,352; one block per OD would be 528 * 98
     assert len(lp.rows) == 24 * 35 + 98
     assert capacity_rows == list(range(24 * 35, 24 * 35 + 98))
+
+
+def test_milp_leaves_out_one_implied_row_per_origin():
+    # each origin block's balance rows sum to zero, so the MILP drops the
+    # largest node's row of every block; the flow LP keeps every row
+    for label, network, demand in INSTANCES + [("sioux-falls", *_sioux_falls())]:
+        origins, balances = _origin_balances(demand)
+        blocks, nodes, links = len(origins), len(network.nodes), len(network.links)
+        milp_rows = _build_origin_aggregated(network, demand).lp.rows
+        assert len(milp_rows) == blocks * (nodes - 1) + links, label
+        lp, *_ = flow_lp(network, demand, {link.arc: 1 for link in network.links})
+        assert len(lp.rows) == blocks * nodes + links, label
+        full, _ = _flow_model(network, network.links, balances,
+                              linking=_linking(network, demand))
+        assert list(milp_rows) == [row for k, row in enumerate(full.rows)
+                                   if k >= blocks * nodes or k % nodes != nodes - 1], label
 
 
 def _root(mip):

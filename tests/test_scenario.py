@@ -1,10 +1,12 @@
 import io
 import json
+import math
 
 import pytest
 
-from maas_market import Link, Scenario, apply_scenario, fig5, load_scenario
-from maas_market.errors import ScenarioError
+from maas_market import (Link, Scenario, apply_scenario, build_sioux_falls,
+                         fig5, load_scenario)
+from maas_market.errors import ScenarioError, ValidationError
 from maas_market.scenario import (AddLinks, MergeOperators, RemoveLinks,
                                   ScaleCosts, ScaleTravel, SetCapacity,
                                   SetFixedFare, SetObjectivePolicy, Subsidy,
@@ -111,6 +113,44 @@ def test_missing_entity_errors(instance):
                        Scenario(edits=(SetCapacity((9, 9), 10),)))
     with pytest.raises(ScenarioError):
         apply_scenario(network, demand, Scenario(edits=(ScaleCosts(99, 2.0),)))
+
+
+def _one_edit_at_a_time(network, demand, edits):
+    for edit in edits:
+        network, demand, _ = apply_scenario(network, demand, Scenario(edits=(edit,)))
+    return network
+
+
+def test_capacity_runs_match_one_edit_at_a_time(instance):
+    sioux_falls, sf_demand = build_sioux_falls(transfer_cost=2.0, utility=40.0,
+                                               capacity_scale=10 / 3)
+    cut = tuple(SetCapacity(link.arc, link.capacity * 0.6)
+                for link in sioux_falls.links if link.owner != 0)
+    assert apply_scenario(sioux_falls, sf_demand, Scenario(edits=cut))[0] == \
+        _one_edit_at_a_time(sioux_falls, sf_demand, cut)
+    network, demand = instance
+    edits = (SetCapacity((1, 21), 500), SetCapacity((1, 3), 700),
+             SetCapacity((1, 21), 900), ScaleCosts(1, 0.5), SetCapacity((1, 3), 50),
+             Surcharge(3, 25.0), SetCapacity((23, 4), 10), SetCapacity((1, 4), 20))
+    cut_network = apply_scenario(network, demand, Scenario(edits=edits))[0]
+    assert cut_network == _one_edit_at_a_time(network, demand, edits)
+    assert cut_network.by_arc[(1, 21)].capacity == 900
+    assert cut_network.by_arc[(1, 3)].capacity == 50
+
+
+def test_capacity_run_errors(instance):
+    network, demand = instance
+    # the first faulty edit of a run decides the error, as one edit at a time
+    for edits, error in (
+            ((SetCapacity((1, 21), 500), SetCapacity((9, 9), 10)), ScenarioError),
+            ((SetCapacity((1, 3), 0.0), SetCapacity((9, 9), 10)), ValidationError),
+            ((SetCapacity((9, 9), 10), SetCapacity((1, 3), 0.0)), ScenarioError),
+            ((SetCapacity((1, 3), -5.0), SetCapacity((1, 3), 10.0)), ValidationError),
+            ((SetCapacity((1, 21), 500), SetCapacity((1, 3), math.nan)), ValidationError)):
+        with pytest.raises(error):
+            apply_scenario(network, demand, Scenario(edits=edits))
+        with pytest.raises(error):
+            _one_edit_at_a_time(network, demand, edits)
 
 
 def test_apply_is_pure_and_deterministic(instance):

@@ -15,7 +15,7 @@ import maas_market
 from maas_market import (LinearProgram, MixedIntegerProgram, solve, solve_lp,
                          solve_milp)
 from maas_market.errors import ResourceLimitExceeded
-from maas_market.solve import EQ, GE, LE
+from maas_market.solve import EQ, GE, LE, Row
 
 
 def test_trivial_lp_with_dual():
@@ -165,6 +165,74 @@ def test_handle_keeps_linprog_row_form():
         np.testing.assert_allclose(result.duals, s * np.array([1 / 3, 2 / 3, 0.0, 5 / 3, 0.0]),
                                    atol=1e-9)
         _assert_certified(lp, result)
+
+
+def test_rows_read_as_a_sequence():
+    lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0])
+    assert lp.add_row([(0, 1.0), (2, -2.0)], LE, 4.0) == 0
+    assert list(lp.add_rows([0, 1, 3], [1, 0, 2], [3.0, 1.0, 1.0], GE, [1.0, 2.0])) == [1, 2]
+    assert lp.add_row([(1, 1)], EQ, 5) == 3
+    want = [Row([(0, 1.0), (2, -2.0)], LE, 4.0), Row([(1, 3.0)], GE, 1.0),
+            Row([(0, 1.0), (2, 1.0)], GE, 2.0), Row([(1, 1.0)], EQ, 5.0)]
+    assert len(lp.rows) == 4
+    assert list(lp.rows) == want and lp.rows == want
+    assert [lp.rows[k] for k in range(4)] == want
+    assert lp.rows[-1] == want[-1] and lp.rows[1:3] == want[1:3]
+    with pytest.raises(IndexError):
+        lp.rows[4]
+    assert sum(len(row.coeffs) for row in lp.rows) == 6
+    # a copy through a list, or through copy(), takes later rows on its own
+    for copy in (replace(lp, rows=list(lp.rows)), replace(lp, rows=lp.rows.copy())):
+        copy.add_row([(2, 1.0)], LE, 1.0)
+        assert len(copy.rows) == 5 and len(lp.rows) == 4
+        assert copy.rows[:4] == want
+    lp.add_row([(0, 1.0)], GE, 0.0)
+    assert len(lp.rows) == 5 and lp.rows[4] == Row([(0, 1.0)], GE, 0.0)
+
+
+@pytest.mark.parametrize("column, value, rhs", [
+    (3, 1.0, 0.0), (-1, 1.0, 0.0), (0, math.inf, 0.0), (0, math.nan, 0.0),
+    (0, 1.0, math.inf), (0, 1.0, -math.inf), (0, 1.0, math.nan)])
+def test_rows_reject_bad_input(column, value, rhs):
+    lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        lp.add_row([(1, 1.0), (column, value)], LE, rhs)
+    with pytest.raises(ValueError):
+        lp.add_rows([0, 1, 3], [2, 1, column], [1.0, 1.0, value], LE, [0.0, rhs])
+    assert len(lp.rows) == 0
+
+
+def test_rows_reject_malformed_csr_and_senses():
+    lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0])
+    for start, index, value, rhs in (([0, 2], [0], [1.0], [0.0]),      # start past the entries
+                                     ([1, 2], [0, 1], [1.0, 1.0], [0.0]),
+                                     ([0, 2, 1], [0, 1], [1.0, 1.0], [0.0, 0.0]),
+                                     ([0, 1], [0], [1.0, 2.0], [0.0]),
+                                     ([0, 1], [0], [1.0], [0.0, 1.0]),
+                                     ([0, 1], [0], [1.0], 0.0)):
+        with pytest.raises(ValueError):
+            lp.add_rows(start, index, value, LE, rhs)
+    with pytest.raises(ValueError):
+        lp.add_row([(0, 1.0)], "<", 1.0)
+    with pytest.raises(ValueError):
+        lp.add_rows([0, 1], [0], [1.0], "==", [1.0])
+    assert len(lp.rows) == 0
+
+
+def test_a_row_listing_a_column_twice_is_rejected():
+    lp = LinearProgram(num_vars=2, objective=[1.0, 1.0], maximize=True)
+    lp.add_row([(0, 1.0), (1, 1.0)], LE, 4.0)
+    bad = replace(lp, rows=lp.rows.copy())
+    bad.add_row([(0, 1.0), (0, 2.0)], LE, 3.0)
+    with pytest.raises(ValueError):
+        solve_lp(bad)
+    first = solve_lp(lp)
+    with pytest.raises(ValueError):
+        solve_lp(bad, warm=first)
+    # the rejected rows left the handle as it was, so it still warm-starts
+    stage = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
+    stage.add_row([(0, 1.0), (1, 1.0)], EQ, first.objective)
+    assert solve_lp(stage, warm=first).objective == pytest.approx(4.0)
 
 
 def _assert_certified(lp, result, tol=1e-7):
@@ -393,9 +461,9 @@ def test_bundled_passes_one_highs_model(monkeypatch):
     models = []
 
     class Counted(solve._Highs):
-        def passModel(self, model):
+        def passModel(self, *model):
             models.append(model)
-            return super().passModel(model)
+            return super().passModel(*model)
 
     monkeypatch.setattr(solve, "_Highs", Counted)
     mip, n_bin, caps, demand = _random_fixed_charge(3)
