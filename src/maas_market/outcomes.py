@@ -44,7 +44,6 @@ class ObjectivePolicy:
 
     global_mode: str | None = None
     per_operator: dict = field(default_factory=dict)
-    demand_weighted: bool = False
 
     def __post_init__(self):
         if (self.global_mode is None) == (not self.per_operator):
@@ -119,8 +118,11 @@ def build_outcome_lp(
     # fixed-fare tying: one common price across all paths of a flagged operator
     for f in sorted(options.fixed_fare_operators):
         cols = [col for col, _ in revenue_terms.get(f, ())]
-        for a, b in zip(cols[:-1], cols[1:]):
-            lp.add_row([(a, 1.0), (b, -1.0)], EQ, 0.0)
+        if len(cols) > 1:
+            pairs = len(cols) - 1  # p_a - p_b = 0 per adjacent pair (a, b)
+            lp.add_rows(range(0, 2 * pairs + 1, 2),
+                        [j for a, b in zip(cols, cols[1:]) for j in (a, b)],
+                        [1.0, -1.0] * pairs, EQ, [0.0] * pairs)
 
     objective, label = _objective_vector(system, policy, u_index, revenue_terms, n)
     lp.objective = objective
@@ -180,9 +182,8 @@ def _objective_vector(system, policy, u_index, revenue_terms, n):
     obj = [0.0] * n
 
     def add_surplus(weight=1.0):
-        for od, col in u_index.items():
-            scale = system.groups[od].demand if policy.demand_weighted else 1.0
-            obj[col] += weight * scale
+        for col in u_index.values():
+            obj[col] += weight
 
     def add_revenue(operator):
         for col, z in revenue_terms.get(operator, ()):

@@ -16,10 +16,12 @@ keeps every row.
 
 Omega weights do not depend on the destination, so Algorithm 1 grows one
 Dijkstra tree per (origin, subcoalition) and reads every destination of that
-origin off it.  The optimal path sets come from one reverse Dijkstra per
-destination and a depth-first walk that only follows arcs which can still
-finish within the tie tolerance.  Both run on plain adjacency lists; networkx
-is imported only by the enumeration oracle and the CLI path listing.
+origin off it.  The optimal path sets come from the same Dijkstra, run once
+per destination over the reversed arcs, and a depth-first walk that only
+follows arcs which can still finish within the tie tolerance.  Each search
+sums a path's link weights in order, as ``omega`` does, so a path's omega is
+read off the search that found it.  Both run on plain adjacency lists;
+networkx is imported only by the enumeration oracle and the CLI path listing.
 """
 
 from __future__ import annotations
@@ -43,11 +45,7 @@ def omega(nodes, network: Network, duals: dict, activations: dict) -> float:
     saturated links, plus the full operating cost of links not operated."""
     total = 0.0
     for arc in zip(nodes[:-1], nodes[1:]):
-        link = network.by_arc[arc]
-        operated = activations.get(arc, 0) >= 0.5
-        total += link.travel_cost + duals.get(arc, 0.0)
-        if not operated:
-            total += link.operating_cost
+        total += _omega_weight(network.by_arc[arc], duals, activations)
     return total
 
 
@@ -165,26 +163,11 @@ def _omega_graph(network: Network, duals, activations):
     return graph
 
 
-def _distances_to(pred, destination) -> dict:
-    """Omega distance to ``destination`` from every node that reaches it,
-    over predecessor lists ``node -> [(tail, weight)]``."""
-    dist = {}
-    fringe = [(0.0, destination)]
-    while fringe:
-        d, v = heapq.heappop(fringe)
-        if v in dist:
-            continue
-        dist[v] = d
-        for u, weight in pred[v]:
-            if u not in dist:
-                heapq.heappush(fringe, (d + weight, u))
-    return dist
-
-
 def _near_shortest_paths(succ, back, origin, destination):
     """Every simple path whose omega is within ``2 * TIE_TOL`` of the
-    shortest, by a depth-first walk that follows an arc only when the
-    distance ``back`` from its head can still finish within that bound."""
+    shortest, as ``(omega, nodes)``, by a depth-first walk that follows an
+    arc only when the distance ``back`` from its head can still finish
+    within that bound."""
     limit = back[origin] + 2 * TIE_TOL
     path, on_path = [origin], {origin}
     stack = [(0.0, iter(succ[origin]))]
@@ -195,7 +178,7 @@ def _near_shortest_paths(succ, back, origin, destination):
                     or cost + weight + back[head] > limit:
                 continue
             if head == destination:
-                yield (*path, head)
+                yield cost + weight, (*path, head)
                 continue
             path.append(head)
             on_path.add(head)
@@ -224,8 +207,8 @@ def optimal_path_sets(
     succ = _omega_arcs(network, duals, activations)
     pred = {node: [] for node in succ}
     for tail, arcs in succ.items():
-        for head, weight, _ in arcs:
-            pred[head].append((tail, weight))
+        for head, weight, owner in arcs:
+            pred[head].append((tail, weight, owner))
     support = {}  # od -> {nodes: (the decomposition's nodes, z)}
     for path, z in decomposition.path_flows:
         support.setdefault(path.group, {})[path.nodes] = (path.nodes, z)
@@ -233,14 +216,14 @@ def optimal_path_sets(
     for entry in demand.entries:
         od = entry.od  # one tuple per group, shared by everything built for it
         if entry.destination not in back_to:
-            back_to[entry.destination] = _distances_to(pred, entry.destination)
+            back_to[entry.destination] = _dijkstra(pred, entry.destination)[0]
         back = back_to[entry.destination]
         if entry.origin not in back:
             raise InfeasibleMatchingError(f"no path exists for OD {od}",
                                           offending_ods=(od,))
         found = []
-        for nodes in _near_shortest_paths(succ, back, *od):
-            found.append((omega(nodes, network, duals, activations), nodes))
+        for pair in _near_shortest_paths(succ, back, *od):
+            found.append(pair)
             if len(found) > TIE_CAP and len(_tied(found)) > TIE_CAP:
                 raise PathCapExceeded(
                     f"more than {TIE_CAP} tied optimal paths for OD {od}")
@@ -284,19 +267,21 @@ def subcoalitions(operators):
     return out
 
 
-def _shortest_path_tree(succ, origin, banned) -> dict:
-    """Dijkstra from ``origin`` over the arcs no operator in ``banned`` owns,
-    as a parent map: every reached node to its predecessor, ``origin`` to None.
+def _dijkstra(succ, origin, banned=frozenset()):
+    """Dijkstra from ``origin`` over adjacency lists ``node -> [(head,
+    weight, owner)]``, skipping the arcs an operator in ``banned`` owns.
+    Returns ``(dist, parent)``: every reached node's distance, and its
+    predecessor (``origin``'s is None).
 
     The search is networkx's ``_dijkstra_multisource`` step for step: a heap
     of (distance, counter, node), a node is final when popped, and only a
     strictly shorter distance relaxes an arc.  So the tree path to each node
-    is the one ``nx.dijkstra_path`` returns on the filtered graph; a search
-    for one target stops when it pops the target, whose path is final then.
+    is the one ``nx.dijkstra_path`` returns on the filtered graph, and its
+    distance is the in-order sum of its weights, which is ``omega`` of it.
     """
     counter = itertools.count()
-    parent, seen, done = {origin: None}, {origin: 0}, set()
-    fringe = [(0, next(counter), origin)]
+    parent, seen, done = {origin: None}, {origin: 0.0}, set()
+    fringe = [(0.0, next(counter), origin)]
     while fringe:
         dist, _, v = heapq.heappop(fringe)
         if v in done:
@@ -310,11 +295,11 @@ def _shortest_path_tree(succ, origin, banned) -> dict:
                 seen[u] = reach
                 heapq.heappush(fringe, (reach, next(counter), u))
                 parent[u] = v
-    return parent
+    return seen, parent
 
 
 def _tree_path(parent, target) -> tuple | None:
-    """The path from the root of ``_shortest_path_tree`` to ``target``."""
+    """The path from the root of a ``_dijkstra`` parent map to ``target``."""
     if target not in parent:
         return None
     nodes = [target]
@@ -354,8 +339,8 @@ def _build_covers(network: Network, activations, path_sets, subsidies=None):
 def _generate(network, demand, matching, decomposition, subsidies,
               alternatives):
     """Path sets, covers and raw stability rows.  ``alternatives(network,
-    duals, activations)`` returns the function ``(od, path_set) -> paths``
-    that gives each group's alternative paths."""
+    duals, activations)`` returns the function ``(od, path_set) -> pairs``
+    that gives each group's alternative paths as ``(nodes, omega)``."""
     duals, activations = decomposition.duals, matching.activations
     path_sets = optimal_path_sets(network, demand, duals, activations,
                                   decomposition)
@@ -367,8 +352,7 @@ def _generate(network, demand, matching, decomposition, subsidies,
         anchors = [(info.operators, {f: (info.nodes, f) for f in info.operators})
                    for info in pset.paths]
         # a path that avoids several subcoalitions would repeat its rows
-        for alt in dict.fromkeys(alternatives_of(od, pset)):
-            alt_omega = omega(alt, network, duals, activations)
+        for alt, alt_omega in dict.fromkeys(alternatives_of(od, pset)):
             if alt_omega <= pset.omega_value + TIE_TOL:
                 continue  # an omega-tied path belongs to the optimal set
             alt_ops = Path(od, alt).operators(network)
@@ -393,8 +377,8 @@ def _dedup_rows(rows):
 
 
 def _excluded_paths(network, duals, activations):
-    """Per group and subcoalition, the cheapest path avoiding it, read off
-    one tree per (origin, subcoalition)."""
+    """Per group and subcoalition, the cheapest path avoiding it and its
+    omega, read off one tree per (origin, subcoalition)."""
     succ = _omega_arcs(network, duals, activations)
     trees = {}
 
@@ -402,10 +386,11 @@ def _excluded_paths(network, duals, activations):
         for pi in subcoalitions(pset.operators):
             key = (od[0], pi)
             if key not in trees:
-                trees[key] = _shortest_path_tree(succ, od[0], frozenset(pi))
-            alt = _tree_path(trees[key], od[1])
+                trees[key] = _dijkstra(succ, od[0], frozenset(pi))
+            dist, parent = trees[key]
+            alt = _tree_path(parent, od[1])
             if alt is not None:
-                yield alt
+                yield alt, dist[od[1]]
 
     return alternatives
 
@@ -440,7 +425,9 @@ def generate_constraints_enumeration(
 
     def every_simple_path(network, duals, activations):
         graph = _omega_graph(network, duals, activations)
-        return lambda od, pset: simple_paths(graph, od, path_cap)
+        return lambda od, pset: (
+            (nodes, omega(nodes, network, duals, activations))
+            for nodes in simple_paths(graph, od, path_cap))
 
     path_sets, covers, rows = _generate(network, demand, matching,
                                         decomposition, subsidies,

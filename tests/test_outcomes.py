@@ -265,14 +265,6 @@ def test_acquisition_policy_objective(fig5_pipeline):
         pytest.approx(1000)
 
 
-def test_demand_weighted_buyer(fig5_pipeline):
-    system = fig5_pipeline[3]
-    model = build_outcome_lp(
-        system, ObjectivePolicy(global_mode=BUYER_OPTIMAL, demand_weighted=True))
-    assert model.lp.objective[model.u_index[(1, 3)]] == pytest.approx(1000)
-    assert model.lp.objective[model.u_index[(1, 4)]] == pytest.approx(500)
-
-
 def test_avg_fare_identity(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, system = fig5_pipeline[0], fig5_pipeline[3]

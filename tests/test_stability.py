@@ -18,9 +18,9 @@ from maas_market.errors import (InfeasibleMatchingError, PathCapExceeded,
 from maas_market.network import DUMMY_OPERATOR
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
-from maas_market.stability import (TIE_TOL, _build_covers, _omega_arcs,
-                                   _omega_graph, _shortest_path_tree,
-                                   _tree_path, generate_constraints_enumeration)
+from maas_market.stability import (TIE_TOL, _build_covers, _dijkstra,
+                                   _omega_arcs, _omega_graph, _tree_path,
+                                   generate_constraints_enumeration)
 from conftest import pipeline_artifacts
 
 
@@ -78,7 +78,7 @@ def test_subcoalition_cap():
 
 
 def _excluded_path(succ, od, pi):
-    return _tree_path(_shortest_path_tree(succ, od[0], frozenset(pi)), od[1])
+    return _tree_path(_dijkstra(succ, od[0], frozenset(pi))[1], od[1])
 
 
 def test_excluded_shortest_path_fig5(fig5_instance, fig5_pipeline):
@@ -125,8 +125,14 @@ def test_tree_paths_equal_networkx_dijkstra(reference_instances):
         owners = network.operators - {0}
         for entry in demand.entries:
             for pi in [()] + subcoalitions(owners):
-                assert _excluded_path(succ, entry.od, pi) == \
-                    networkx_excluded_path(graph, entry.od, pi), (entry.od, pi)
+                dist, parent = _dijkstra(succ, entry.origin, frozenset(pi))
+                path = _tree_path(parent, entry.destination)
+                assert path == networkx_excluded_path(graph, entry.od, pi), \
+                    (entry.od, pi)
+                # generation reads each alternative's omega off its tree
+                if path is not None:
+                    assert dist[entry.destination] == \
+                        omega(path, network, duals, activations), (entry.od, pi)
                 checked += 1
     assert checked > 2000
 
