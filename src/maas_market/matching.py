@@ -42,7 +42,7 @@ without its 0.6x cut, ``random_instance(0..299)``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,7 +77,27 @@ class Path:
 
 
 @dataclass
-class MatchingSolution:
+class Memo:
+    """A private memo for results derived from a reused object."""
+
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def cached(self, key, build):
+        """``build()``, called on the first request for ``key`` only; every
+        later call returns the same object."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
+
+
+@dataclass
+class MatchingSolution(Memo):
+    """The matching; its memo keeps stability-generation work that every
+    scenario generated on it shares (see ``stability``)."""
+
     flows: dict  # od -> {arc: passengers}
     activations: dict  # arc -> 0/1
     objective: float

@@ -22,17 +22,33 @@ follows arcs which can still finish within the tie tolerance.  Each search
 sums a path's link weights in order, as ``omega`` does, so a path's omega is
 read off the search that found it.  Both run on plain adjacency lists;
 networkx is imported only by the enumeration oracle and the CLI path listing.
+
+Scenarios on one base equilibrium (mergers, acquisitions, fixed fares,
+subsidies, objective modes) share the part of generation that does not read
+owners, memoized on the ``MatchingSolution`` they are generated on.  The key
+is the content of every other input: each link's (tail, head, travel cost,
+omega weight) in link order, ``demand.entries`` and the decomposition's
+``path_flows``, so a cost edit or changed duals miss it and recompute.  It
+keeps the optimal path sets (nodes, travel cost, omega and flow per path),
+whose operators each generation reads off its own owners, and, for Algorithm
+1 only, the cheapest path avoiding a subcoalition and its omega, or None,
+per (group, links the subcoalition owns); trees themselves are not kept.  An
+owner or policy edit hits it exactly: omega reads no owner, ``replace_links``
+sorts links by arc, so the successor lists keep their order, and a search
+that bans a subcoalition skips exactly the arcs its members own, so a merged
+subcoalition's search is, step for step, that of any subcoalition banning
+the same arcs.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (InfeasibleMatchingError, PathCapExceeded,
                      StabilityToleranceError, SubcoalitionCapExceeded)
-from .matching import MatchingSolution, Path, PathFlowSolution
+from .matching import MatchingSolution, Memo, Path, PathFlowSolution
 from .network import DUMMY_OPERATOR, DemandTable, Network
 
 TIE_TOL = 1e-6           # omega gap below which two paths are tied
@@ -84,22 +100,13 @@ class StabilityRow:
 
 
 @dataclass
-class ConstraintSystem:
+class ConstraintSystem(Memo):
+    """Generation fills a system once, so what its memo derives from it
+    stays valid."""
+
     groups: dict                      # od -> OptimalPathSet
     covers: dict                      # operator -> (terms, rhs); terms: [(od, nodes, z_r)]
     stability_rows: list = field(default_factory=list)
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-    def cached(self, key, build):
-        """``build()``, called on the first request for ``key`` only.
-
-        Generation fills a system once, so what ``build`` derives from it
-        stays valid; every later call returns the same object.
-        """
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     def price_variables(self):
         """All (od, path nodes, operator) triples carrying a price variable.
@@ -136,8 +143,9 @@ class ConstraintSystem:
 
 
 def _omega_weight(link, duals, activations) -> float:
-    operated = activations.get(link.arc, 0) >= 0.5
-    return link.travel_cost + duals.get(link.arc, 0.0) \
+    arc = link.arc
+    operated = activations.get(arc, 0) >= 0.5
+    return link.travel_cost + duals.get(arc, 0.0) \
         + (0.0 if operated else link.operating_cost)
 
 
@@ -339,12 +347,22 @@ def _build_covers(network: Network, activations, path_sets, subsidies=None):
 def _generate(network, demand, matching, decomposition, subsidies,
               alternatives):
     """Path sets, covers and raw stability rows.  ``alternatives(network,
-    duals, activations)`` returns the function ``(od, path_set) -> pairs``
-    that gives each group's alternative paths as ``(nodes, omega)``."""
+    duals, activations, memo)`` returns the function ``(od, path_set) ->
+    pairs`` that gives each group's alternative paths as ``(nodes, omega)``;
+    ``memo`` is the owner-free memo entry these inputs share."""
     duals, activations = decomposition.duals, matching.activations
-    path_sets = optimal_path_sets(network, demand, duals, activations,
-                                  decomposition)
-    alternatives_of = alternatives(network, duals, activations)
+    links = tuple((link.tail, link.head, link.travel_cost,
+                   _omega_weight(link, duals, activations))
+                  for link in network.links)
+    memo = matching.cached((links, demand.entries,
+                            tuple(decomposition.path_flows)), dict)
+    if "path_sets" in memo:
+        path_sets = _relabel(memo["path_sets"], network)
+    else:
+        path_sets = optimal_path_sets(network, demand, duals, activations,
+                                      decomposition)
+        memo["path_sets"] = dict(path_sets)
+    alternatives_of = alternatives(network, duals, activations, memo)
     rows = []
     for od in sorted(path_sets):
         pset = path_sets[od]
@@ -364,6 +382,28 @@ def _generate(network, demand, matching, decomposition, subsidies,
     return path_sets, covers, rows
 
 
+def _relabel(path_sets, network):
+    """``path_sets`` with each path's operators read off ``network``'s
+    owners; a path or set whose operators stay is reused as it is."""
+    owner = {link.arc: link.owner for link in network.links}
+    operator_sets, out = {}, {}
+    for od, pset in path_sets.items():
+        infos = []
+        for info in pset.paths:
+            operators = frozenset(owner[arc] for arc in zip(
+                info.nodes[:-1], info.nodes[1:])) - {DUMMY_OPERATOR}
+            operators = operator_sets.setdefault(operators, operators)
+            infos.append(info if operators == info.operators
+                         else replace(info, operators=operators))
+        if all(new is old for new, old in zip(infos, pset.paths)):
+            out[od] = pset
+            continue
+        union = frozenset().union(*(info.operators for info in infos))
+        out[od] = replace(pset, paths=tuple(infos),
+                          operators=operator_sets.setdefault(union, union))
+    return out
+
+
 def _row_order(row):
     return (row.group, row.terms, -row.bound)
 
@@ -376,21 +416,34 @@ def _dedup_rows(rows):
     return list(best.values())
 
 
-def _excluded_paths(network, duals, activations):
+def _excluded_paths(network, duals, activations, memo):
     """Per group and subcoalition, the cheapest path avoiding it and its
-    omega, read off one tree per (origin, subcoalition)."""
+    omega.  ``memo`` keeps each answer, or None, under (group, the links the
+    subcoalition owns, as a bit mask over link positions); a missing one is
+    read off a tree per (origin, subcoalition), grown by this call on its
+    first miss."""
     succ = _omega_arcs(network, duals, activations)
-    trees = {}
+    owned = {}  # owner -> bit mask of its links; owners' masks are disjoint
+    for position, link in enumerate(network.links):
+        owned[link.owner] = owned.get(link.owner, 0) | 1 << position
+    found = memo.setdefault("excluded", {})
+    banned, trees = {}, {}
 
     def alternatives(od, pset):
         for pi in subcoalitions(pset.operators):
-            key = (od[0], pi)
-            if key not in trees:
-                trees[key] = _dijkstra(succ, od[0], frozenset(pi))
-            dist, parent = trees[key]
-            alt = _tree_path(parent, od[1])
-            if alt is not None:
-                yield alt, dist[od[1]]
+            if pi not in banned:
+                banned[pi] = sum(owned[f] for f in pi)
+            key = (od, banned[pi])
+            if key in found:
+                pair = found[key]
+            else:
+                if (od[0], pi) not in trees:
+                    trees[od[0], pi] = _dijkstra(succ, od[0], frozenset(pi))
+                dist, parent = trees[od[0], pi]
+                alt = _tree_path(parent, od[1])
+                pair = found[key] = None if alt is None else (alt, dist[od[1]])
+            if pair is not None:
+                yield pair
 
     return alternatives
 
@@ -423,7 +476,7 @@ def generate_constraints_enumeration(
     """Oracle generator: every simple path of a group is an alternative, and
     every (alternative, anchor) pair keeps its row."""
 
-    def every_simple_path(network, duals, activations):
+    def every_simple_path(network, duals, activations, memo):
         graph = _omega_graph(network, duals, activations)
         return lambda od, pset: (
             (nodes, omega(nodes, network, duals, activations))

@@ -1,13 +1,18 @@
 """Invariant suites over the seeded random-instance corpus."""
 
+import dataclasses
+import random
+
 import pytest
 
-from maas_market import (Link, Network, ObjectivePolicy, build_outcome_lp,
-                         check_core_nonempty,
-                         generate_constraints_algorithm1, solve_matching,
+from maas_market import (Link, Network, ObjectivePolicy, Scenario,
+                         apply_scenario, build_outcome_lp, check_core_nonempty,
+                         generate_constraints_algorithm1,
+                         generate_constraints_enumeration, solve_matching,
                          solve_outcome)
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
+from maas_market.scenario import MergeOperators, SetFixedFare, Subsidy
 from conftest import pipeline_artifacts
 
 SEEDS = list(range(12))
@@ -214,3 +219,60 @@ def test_merge_all_preserves_nonempty_core(corpus_instance):
     merged_net = Network(nodes=network.nodes, links=merged_links)
     _, _, _, merged_system = pipeline_artifacts(merged_net, demand)
     assert check_core_nonempty(merged_system)
+
+
+def _owner_and_policy_scenarios(seed, network):
+    """Seeded scenarios that keep every cost: a merge, an acquisition into
+    another operator, a fixed fare, a subsidy, and a merge followed by a
+    fixed fare."""
+    rng = random.Random(seed)
+    owners = sorted(network.operators - {0})
+    costly = [l for l in network.links if l.owner != 0 and l.operating_cost > 0]
+    edits = [(SetFixedFare(rng.choice(owners), True),)]
+    if costly:
+        link = rng.choice(costly)
+        edits.append((Subsidy(link.arc, rng.uniform(0, link.operating_cost)),))
+    if len(owners) >= 2:
+        merged = tuple(rng.sample(owners, 2))
+        acquired, acquirer = rng.sample(owners, 2)
+        edits += [(MergeOperators(merged, merged[0]),),
+                  (MergeOperators((acquired,), acquirer),),
+                  (MergeOperators(merged, merged[0]),
+                   SetFixedFare(merged[0], True))]
+    return [Scenario(edits=e) for e in edits]
+
+
+def _on_reused_and_fresh(generate, network, demand, matching, decomposition,
+                         scenario):
+    """``generate`` on the scenario's network, once on ``matching`` and once
+    on a copy whose memo is empty."""
+    edited, _, annotations = apply_scenario(network, demand, scenario)
+    return [generate(edited, demand, on, decomposition,
+                     subsidies=annotations.subsidies)
+            for on in (matching, dataclasses.replace(matching))]
+
+
+def test_scenarios_on_one_matching_equal_fresh_generations(reference_instances):
+    """fig5, Sioux Falls and random_instance(0..199): scenario systems
+    generated on the base matching, whose memo holds the base generation,
+    equal those of a fresh generation byte for byte."""
+    for seed, (network, demand, matching, decomposition, _) in \
+            enumerate(reference_instances):
+        for scenario in _owner_and_policy_scenarios(seed, network):
+            reused, fresh = _on_reused_and_fresh(
+                generate_constraints_algorithm1, network, demand, matching,
+                decomposition, scenario)
+            assert reused.render_text() == fresh.render_text(), (seed, scenario)
+
+
+def test_oracle_on_one_matching_equals_fresh_oracle(reference_instances):
+    """The enumeration oracle shares the memo's path sets: fig5 and
+    random_instance(0..39)."""
+    instances = reference_instances[:1] + reference_instances[2:42]
+    for seed, (network, demand, matching, decomposition, _) in \
+            enumerate(instances):
+        for scenario in _owner_and_policy_scenarios(seed, network):
+            reused, fresh = _on_reused_and_fresh(
+                generate_constraints_enumeration, network, demand, matching,
+                decomposition, scenario)
+            assert reused.render_text() == fresh.render_text(), (seed, scenario)

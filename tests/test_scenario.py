@@ -106,6 +106,26 @@ def test_policy_edits(instance):
     assert ann.fixed_fare_operators == set()
 
 
+def test_owner_and_policy_edits_keep_link_order_and_costs(instance):
+    """Stability generation reuses a matching's path sets and searches
+    across these edits, which relies on this invariant."""
+    sioux_falls, sf_demand = build_sioux_falls(transfer_cost=2.0,
+                                               capacity_scale=10 / 3)
+    for network, demand in (instance, (sioux_falls, sf_demand)):
+        owners = sorted(network.operators - {0})
+        operated = next(l for l in network.links if l.owner != 0)
+        before = [(l.arc, l.travel_cost, l.operating_cost, l.capacity)
+                  for l in network.links]
+        for edit in (MergeOperators(tuple(owners[:2]), owners[0]),
+                     MergeOperators((owners[-1],), owners[0]),
+                     SetFixedFare(owners[0], True),
+                     Subsidy(operated.arc, operated.operating_cost / 2),
+                     SetObjectivePolicy(owners[-1], "welfare_max")):
+            net2, _, _ = apply_scenario(network, demand, Scenario(edits=(edit,)))
+            assert [(l.arc, l.travel_cost, l.operating_cost, l.capacity)
+                    for l in net2.links] == before, edit
+
+
 def test_missing_entity_errors(instance):
     network, demand = instance
     with pytest.raises(ScenarioError):

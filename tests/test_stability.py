@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 
 import maas_market
 from maas_market import (DemandEntry, DemandTable, Link, Network,
-                         ObjectivePolicy, PathFlowSolution, build_outcome_lp,
+                         ObjectivePolicy, PathFlowSolution, Scenario,
+                         apply_scenario, build_outcome_lp,
                          decompose_flows, extract_duals, fig5,
                          generate_constraints_algorithm1, omega,
                          optimal_path_sets, solve_outcome, subcoalitions)
@@ -18,6 +20,7 @@ from maas_market.errors import (InfeasibleMatchingError, PathCapExceeded,
 from maas_market.network import DUMMY_OPERATOR
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
+from maas_market.scenario import MergeOperators, ScaleTravel, Surcharge
 from maas_market.stability import (TIE_TOL, _build_covers, _dijkstra,
                                    _omega_arcs, _omega_graph, _tree_path,
                                    generate_constraints_enumeration)
@@ -351,6 +354,37 @@ def test_render_text(fig5_pipeline):
     text = fig5_pipeline[3].render_text()
     assert "u[(1, 4)] >= -390.000000" in text
     assert "p[[1, 21, 23, 4]][3]" in text
+
+
+def test_owner_edits_reuse_the_matchings_searches(fig5_instance,
+                                                  fig5_pipeline, monkeypatch):
+    network, demand = fig5_instance
+    matching, decomposition = fig5_pipeline[0], fig5_pipeline[2]
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return _dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_dijkstra", counted)
+    matching = dataclasses.replace(matching)  # a fresh memo
+
+    def generate(edit, on=matching):
+        edited, _, _ = apply_scenario(network, demand, Scenario(edits=(edit,)))
+        searches.clear()
+        return generate_constraints_algorithm1(edited, demand, on,
+                                               decomposition)
+
+    merge = MergeOperators((1, 3), 1)
+    first = generate(merge)
+    assert searches
+    assert generate(merge) == first and not searches
+    # operators 5 and 6 run no link, so both edits move their links' omega,
+    # and 1-5-4 is the cheapest path avoiding operators 1, 3 and 4
+    for edit in (ScaleTravel(6, 1.5), Surcharge(5, 10.0)):
+        reused = generate(edit)
+        assert searches
+        assert reused == generate(edit, on=dataclasses.replace(matching))
 
 
 def _vertex(system, mode):
