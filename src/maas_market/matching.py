@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InfeasibleMatchingError, SolveNumericalError
-from .network import DUMMY_OPERATOR, DemandTable, Network, write_csv
+from .network import DemandTable, Network, write_csv
 from .solve import EQ, LE, LinearProgram, MixedIntegerProgram, solve_lp, solve_milp
 
 FLOW_EPS = 1e-6
@@ -66,11 +66,6 @@ class Path:
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.nodes[:-1], self.nodes[1:]))
-
-    def operators(self, network: Network) -> frozenset[int]:
-        owners = {network.by_arc[a].owner for a in self.arcs}
-        owners.discard(DUMMY_OPERATOR)
-        return frozenset(owners)
 
     def travel_cost(self, network: Network) -> float:
         return sum(network.by_arc[a].travel_cost for a in self.arcs)

@@ -2,12 +2,13 @@
 
 An LP keeps its rows as CSR arrays (:class:`Rows`) from the model builders
 to HiGHS: builders append whole blocks of rows with
-:meth:`LinearProgram.add_rows`, the handle builder reorders and transposes
-them with numpy, and HiGHS takes the arrays through the array form of
-``passModel``.  No model passes through ``scipy.sparse`` or per-coefficient
-Python on its way to HiGHS.  Read as a sequence, the rows are :class:`Row`
-values built from the arrays.  HiGHS rejects a row that lists a column
-twice, and so does the solver, with ``ValueError``.
+:meth:`LinearProgram.add_rows`, which checks every row, the handle builder
+reorders them into ``linprog``'s form with numpy, and HiGHS takes them row
+by row through the array form of ``passModel`` and stores them by column
+itself.  No model passes through ``scipy.sparse`` or per-coefficient Python
+on its way to HiGHS.  Read as a sequence, the rows are :class:`Row` values
+built from the arrays.  HiGHS rejects a row that lists a column twice, and
+so does the solver, with ``ValueError``.
 
 Mixed-integer programs are solved by a deterministic branch-and-bound over
 the binary variables with LP-relaxation bounds (Land and Doig, 1960):
@@ -28,19 +29,19 @@ Lagrangian bound on closing it exceeds a known solution's cost by
 
 Pure LPs go through the same handle builder: one cold HiGHS solve, whose
 row duals are read from the solution.  An optimal LP result keeps its
-handle, so a later LP over the same columns whose rows extend the solved
-ones can re-solve warm (``solve_lp(lp, warm=result)``): only the new rows
-are added and the objective replaced, and HiGHS starts from the optimal
-basis already on the handle.  That basis stays primal feasible when the
-new rows hold at the old optimum -- a row pinning the old objective to its
-optimal value does -- and only the new objective makes it non-optimal, so
-the warm solve runs the primal simplex.  The dual simplex, which suits a
-cold solve, would first have to repair the dual infeasibility the new
-objective causes.  The handle is the private binding
-``scipy.optimize._highspy._core._Highs`` (HiGHS 1.12.0 in scipy 1.17), on
-which ``linprog`` is built; a scipy without it fails at import.  HiGHS gets
-the model in ``linprog``'s form (see :func:`_highs_handle`) with
-``linprog``'s options.
+handle, so a later LP over the same columns whose rows extend a
+:meth:`Rows.copy` of the solved ones can re-solve warm
+(``solve_lp(lp, warm=result)``): only the new rows are added and the
+objective replaced, and HiGHS starts from the optimal basis already on the
+handle.  That basis stays primal feasible when the new rows hold at the
+old optimum -- a row pinning the old objective to its optimal value does --
+and only the new objective makes it non-optimal, so the warm solve runs the
+primal simplex.  The dual simplex, which suits a cold solve, would first
+have to repair the dual infeasibility the new objective causes.  The handle
+is the private binding ``scipy.optimize._highspy._core._Highs`` (HiGHS
+1.12.0 in scipy 1.17), on which ``linprog`` is built; a scipy without it
+fails at import.  HiGHS gets the model in ``linprog``'s form (see
+:func:`_highs_handle`) with ``linprog``'s options.
 
 The configuration is fixed: no tolerance, gap or limit is settable.
 Reported duals follow the convention ``dual = d(objective)/d(rhs)`` in the
@@ -98,28 +99,28 @@ class Rows(Sequence):
     :class:`Row` values.
 
     The rows are kept as a list of blocks, each five such arrays, that are
-    never written once built.  :meth:`extend` adds a block, and rows added
-    one at a time become one block when the rows are next read.  A
-    :meth:`copy` shares the blocks, and later additions to either side leave
-    the other unchanged; a copy extended with new rows still starts with
-    the very blocks of its original, which makes :meth:`after` cheap.
+    never written once built: ``Rows(rows)`` builds one block from
+    :class:`Row` values and :meth:`extend` adds one.  A :meth:`copy` shares
+    the blocks, and later additions to either side leave the other
+    unchanged; a copy extended with new rows still starts with the very
+    blocks of its original, which is what :meth:`after` looks for.
     """
 
     def __init__(self, rows=()):
         self._blocks = []
         self._count = 0      # rows in the blocks
-        self._pending = []   # (coeffs, sense index, rhs) of rows after the blocks
         self._merged = None  # the blocks as one, once csr() has built it
-        for row in rows:
-            self.append(row.coeffs, row.sense, row.rhs)
-
-    def append(self, coeffs, sense, rhs) -> None:
-        self._pending.append((coeffs, _sense_index(sense), rhs))
+        rows = list(rows)
+        if rows:
+            self._add((np.array([0, *itertools.accumulate(len(row.coeffs) for row in rows)]),
+                       np.array([j for row in rows for j, _ in row.coeffs], dtype=np.int32),
+                       np.array([v for row in rows for _, v in row.coeffs], dtype=float),
+                       np.array([_sense_index(row.sense) for row in rows], dtype=np.int8),
+                       np.array([row.rhs for row in rows], dtype=float)))
 
     def extend(self, start, index, value, sense, rhs) -> None:
         """Add rows in CSR form, all with ``sense``; keeps the arrays."""
         code = _sense_index(sense)
-        self._flush()
         self._add((start, index, value, np.full(len(rhs), code, dtype=np.int8), rhs))
 
     def _add(self, block) -> None:
@@ -127,46 +128,28 @@ class Rows(Sequence):
         self._count += len(block[4])
         self._merged = None
 
-    def _flush(self) -> None:
-        if self._pending:
-            pending, self._pending = self._pending, []
-            self._add((np.array([0, *itertools.accumulate(len(c) for c, _, _ in pending)]),
-                       np.array([j for c, _, _ in pending for j, _ in c], dtype=np.int32),
-                       np.array([v for c, _, _ in pending for _, v in c], dtype=float),
-                       np.array([sense for _, sense, _ in pending], dtype=np.int8),
-                       np.array([rhs for _, _, rhs in pending], dtype=float)))
-
     def csr(self):
         """The arrays ``(start, index, value, sense, rhs)`` of every row."""
-        self._flush()
         if self._merged is None:
             self._merged = _merge(self._blocks)
         return self._merged
 
     def copy(self) -> Rows:
-        self._flush()
         rows = Rows()
         rows._blocks, rows._count, rows._merged = list(self._blocks), self._count, self._merged
         return rows
 
     def after(self, prefix: Rows):
         """The arrays of the rows past ``prefix`` as :meth:`csr` gives them,
-        or None unless these rows start with ``prefix``'s."""
-        self._flush()
-        prefix._flush()
+        or None unless these rows extend a :meth:`copy` of ``prefix``: they
+        must start with its very blocks."""
         n = len(prefix._blocks)
-        if len(self._blocks) >= n and all(a is b for a, b in zip(self._blocks, prefix._blocks)):
-            return _merge(self._blocks[n:])
-        mine, theirs = self.csr(), prefix.csr()
-        m, nnz = len(theirs[4]), theirs[0][-1]
-        if len(mine[4]) < m or not all(
-                np.array_equal(a[:size], b)
-                for a, b, size in zip(mine, theirs, (m + 1, nnz, nnz, m, m))):
+        if len(self._blocks) < n or any(a is not b for a, b in zip(self._blocks, prefix._blocks)):
             return None
-        return (mine[0][m:] - nnz, mine[1][nnz:], mine[2][nnz:], mine[3][m:], mine[4][m:])
+        return _merge(self._blocks[n:])
 
     def __len__(self) -> int:
-        return self._count + len(self._pending)
+        return self._count
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -213,26 +196,30 @@ class LinearProgram:
     def __post_init__(self):
         if not isinstance(self.rows, Rows):
             self.rows = Rows(self.rows)
+            start, index, value, _, rhs = self.rows.csr()
+            self._check_rows(start, index, value, rhs)
 
     def add_row(self, coeffs, sense, rhs) -> int:
-        for idx, val in coeffs:
-            if not 0 <= idx < self.num_vars:
-                raise ValueError(f"column {idx} out of range")
-            if not math.isfinite(val):
-                raise ValueError("non-finite coefficient")
-        if not math.isfinite(rhs):
-            raise ValueError("non-finite rhs")
-        self.rows.append(list(coeffs), sense, float(rhs))
-        return len(self.rows) - 1
+        """Append the row ``sum(v * x[j] for j, v in coeffs) sense rhs``
+        through :meth:`add_rows`; returns its index."""
+        return self.add_rows([0, len(coeffs)], [j for j, _ in coeffs],
+                             [v for _, v in coeffs], sense, [rhs])[0]
 
     def add_rows(self, start, index, value, sense, rhs) -> range:
         """Append rows in CSR form, all with ``sense``: row ``k`` has the
         columns ``index[start[k]:start[k + 1]]``, the coefficients ``value``
-        at the same positions and the right-hand side ``rhs[k]``.  Checks
-        what :meth:`add_row` checks; returns the new rows' indices."""
+        at the same positions and the right-hand side ``rhs[k]``.  Returns
+        the new rows' indices; ValueError, adding nothing, unless every
+        column is in range and every coefficient and rhs finite."""
         # copies: the rows keep these arrays, and the caller may reuse its own
         start, index = np.array(start, dtype=np.int64), np.asarray(index)
         value, rhs = np.array(value, dtype=float), np.array(rhs, dtype=float)
+        self._check_rows(start, index, value, rhs)
+        first = len(self.rows)
+        self.rows.extend(start, index.astype(np.int32), value, sense, rhs)
+        return range(first, len(self.rows))
+
+    def _check_rows(self, start, index, value, rhs) -> None:
         if (any(a.ndim != 1 for a in (start, index, value, rhs))
                 or len(start) != len(rhs) + 1 or start[0] != 0
                 or start[-1] != len(index) or len(value) != len(index)
@@ -244,9 +231,6 @@ class LinearProgram:
             raise ValueError("non-finite coefficient")
         if not np.isfinite(rhs).all():
             raise ValueError("non-finite rhs")
-        first = len(self.rows)
-        self.rows.extend(start, index.astype(np.int32), value, sense, rhs)
-        return range(first, len(self.rows))
 
     def effective_bounds(self) -> list[tuple[float, float]]:
         if self.bounds is None:
@@ -310,36 +294,41 @@ def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
     47.659 to 45.961.
     """
     start, index, value, sense, rhs = lp.rows.csr()
+    objective = _objective(lp)
+    if bounds.shape != (lp.num_vars, 2):
+        raise ValueError(f"bounds of shape {bounds.shape} for {lp.num_vars} columns")
     eq = sense == _EQ
     order = np.argsort(eq, kind="stable")  # LP row per handle row
     flips = np.where(sense[order] == _GE, -1.0, 1.0)
     lengths = (start[1:] - start[:-1])[order]
-    # each handle row's entries, in handle row order; a stable sort by column
-    # keeps every column's rows ascending, the CSC order of scipy.sparse
-    rows = np.repeat(np.arange(len(order)), lengths)
-    at = np.arange(len(rows)) + np.repeat(start[order] - lengths.cumsum() + lengths, lengths)
-    cols = index[at]
-    by_col = np.argsort(cols, kind="stable")
-    cols = cols[by_col]
-    if cols.size and (cols[0] < 0 or cols[-1] >= lp.num_vars):
-        raise ValueError("column out of range")
+    firsts = lengths.cumsum() - lengths  # each handle row's first entry
+    at = np.arange(start[-1]) + np.repeat(start[order] - firsts, lengths)
     upper = flips * rhs[order]
     sign = -1.0 if lp.maximize else 1.0
     highs = _Highs()
     highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as linprog sets
     highs.setOptionValue("output_flag", False)
-    # the array form of passModel: a_start holds each column's first entry
+    # the array form of passModel, row by row: HiGHS stores the matrix by
+    # column, each column's rows ascending, as scipy.sparse's CSC form has them
     status = highs.passModel(
-        lp.num_vars, len(order), len(cols), int(MatrixFormat.kColwise),
-        int(ObjSense.kMinimize), 0.0, sign * np.asarray(lp.objective, dtype=float),
+        lp.num_vars, len(order), len(at), int(MatrixFormat.kRowwise),
+        int(ObjSense.kMinimize), 0.0, sign * objective,
         bounds[:, 0], bounds[:, 1], np.where(eq[order], upper, -np.inf), upper,
-        np.searchsorted(cols, np.arange(lp.num_vars)), rows[by_col],
-        (np.repeat(flips, lengths) * value[at])[by_col],
+        firsts, index[at], np.repeat(flips, lengths) * value[at],
         np.zeros(lp.num_vars, dtype=np.int32))  # every column continuous
     if status == HighsStatus.kError:
-        raise ValueError("HiGHS rejected the LP: a row lists a column twice, "
-                         "or a cost or bound is not valid")
+        raise ValueError("HiGHS rejected the LP: a row lists a column twice "
+                         "or one out of range, or a cost or bound is not valid")
     return _Handle(highs=highs, lp_rows=order, flips=flips, sign=sign)
+
+
+def _objective(lp: LinearProgram) -> np.ndarray:
+    """``lp.objective`` as an array.  HiGHS reads ``num_vars`` costs
+    whatever the array's length, so any other length is a ValueError."""
+    objective = np.asarray(lp.objective, dtype=float)
+    if objective.shape != (lp.num_vars,):
+        raise ValueError(f"{objective.size} objective entries for {lp.num_vars} columns")
+    return objective
 
 
 def _run(highs) -> str:
@@ -363,7 +352,8 @@ def _extend(lp: LinearProgram, warm: SolveResult) -> _Handle:
     new = lp.rows.after(handle.rows)
     if (lp.num_vars, lp.maximize, lp.bounds) != handle.shape or new is None:
         raise ValueError("warm start needs the same columns, sense and bounds, "
-                         "and the solved rows as a prefix of the rows")
+                         "and rows that extend a copy() of the solved rows")
+    cost = handle.sign * _objective(lp)
     start, index, value, sense, rhs = new
     if len(rhs):
         status = handle.highs.addRows(
@@ -377,9 +367,7 @@ def _extend(lp: LinearProgram, warm: SolveResult) -> _Handle:
         handle.lp_rows = np.concatenate((handle.lp_rows, np.arange(first, first + len(rhs))))
         handle.flips = np.concatenate((handle.flips, np.ones(len(rhs))))
     warm.handle = None
-    handle.highs.changeColsCost(
-        lp.num_vars, np.arange(lp.num_vars, dtype=np.int32),
-        handle.sign * np.asarray(lp.objective, dtype=float))
+    handle.highs.changeColsCost(lp.num_vars, np.arange(lp.num_vars, dtype=np.int32), cost)
     handle.highs.setOptionValue("simplex_strategy", 4)  # primal simplex
     return handle
 
@@ -397,10 +385,10 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
 
     ``warm``, an earlier optimal result of this function, hands its HiGHS
     handle to this solve: ``lp`` must have the same columns, sense and
-    bounds, and the rows that result solved as a prefix of its own rows,
-    else ``ValueError``.  Only the rows past that prefix are added and the
-    objective replaced; the primal simplex re-solves from the handle's
-    optimal basis.  A result can warm-start one later solve only.
+    bounds, and its rows must extend a :meth:`Rows.copy` of the rows that
+    result solved, else ``ValueError``.  Only the rows past that copy are
+    added and the objective replaced; the primal simplex re-solves from the
+    handle's optimal basis.  A result can warm-start one later solve only.
     """
     if lp.num_vars == 0 and warm is None:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,

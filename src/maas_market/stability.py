@@ -142,6 +142,12 @@ class ConstraintSystem(Memo):
         return "\n".join(lines) + "\n"
 
 
+def _operators(network: Network, nodes) -> frozenset[int]:
+    """The non-dummy owners of the links on the path ``nodes``."""
+    by_arc = network.by_arc
+    return frozenset(by_arc[arc].owner for arc in zip(nodes[:-1], nodes[1:])) - {DUMMY_OPERATOR}
+
+
 def _omega_weight(link, duals, activations) -> float:
     arc = link.arc
     operated = activations.get(arc, 0) >= 0.5
@@ -240,10 +246,9 @@ def optimal_path_sets(
         for value, nodes in sorted(_tied(found), key=lambda pair: pair[1]):
             # a flow-carrying path keeps the decomposition's node tuple
             nodes, z = flows.get(nodes, (nodes, 0.0))
-            path = Path(od, nodes)
-            operators = path.operators(network)
+            operators = _operators(network, nodes)
             infos.append(PathInfo(
-                nodes=nodes, travel_cost=path.travel_cost(network),
+                nodes=nodes, travel_cost=Path(od, nodes).travel_cost(network),
                 omega_cost=value, flow=z,
                 operators=operator_sets.setdefault(operators, operators)))
         best = min(info.omega_cost for info in infos)
@@ -373,7 +378,7 @@ def _generate(network, demand, matching, decomposition, subsidies,
         for alt, alt_omega in dict.fromkeys(alternatives_of(od, pset)):
             if alt_omega <= pset.omega_value + TIE_TOL:
                 continue  # an omega-tied path belongs to the optimal set
-            alt_ops = Path(od, alt).operators(network)
+            alt_ops = _operators(network, alt)
             bound = pset.utility - alt_omega
             for operators, term in anchors:
                 terms = tuple(term[f] for f in sorted(operators & alt_ops))
@@ -385,13 +390,11 @@ def _generate(network, demand, matching, decomposition, subsidies,
 def _relabel(path_sets, network):
     """``path_sets`` with each path's operators read off ``network``'s
     owners; a path or set whose operators stay is reused as it is."""
-    owner = {link.arc: link.owner for link in network.links}
     operator_sets, out = {}, {}
     for od, pset in path_sets.items():
         infos = []
         for info in pset.paths:
-            operators = frozenset(owner[arc] for arc in zip(
-                info.nodes[:-1], info.nodes[1:])) - {DUMMY_OPERATOR}
+            operators = _operators(network, info.nodes)
             operators = operator_sets.setdefault(operators, operators)
             infos.append(info if operators == info.operators
                          else replace(info, operators=operators))

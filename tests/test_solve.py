@@ -202,6 +202,31 @@ def test_rows_reject_bad_input(column, value, rhs):
     assert len(lp.rows) == 0
 
 
+@pytest.mark.parametrize("column, value, rhs", [
+    (2, 1.0, 1.0), (0, math.nan, 1.0), (0, 1.0, math.inf)])
+def test_rows_given_to_the_constructor_are_checked(column, value, rhs):
+    rows = [Row([(0, 1.0), (1, 1.0)], LE, 4.0), Row([(column, value)], LE, rhs)]
+    with pytest.raises(ValueError):
+        LinearProgram(num_vars=2, objective=[1.0, 1.0], maximize=True, rows=rows)
+    lp = LinearProgram(num_vars=2, objective=[1.0, 1.0], maximize=True, rows=rows[:1])
+    with pytest.raises(ValueError):
+        replace(lp, rows=rows)
+
+
+def test_objective_and_bounds_need_one_entry_per_column():
+    lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0], maximize=True)
+    lp.add_row([(0, 1.0), (1, 1.0), (2, 1.0)], LE, 4.0)
+    for bad in (replace(lp, bounds=[(0.0, 1.0)]), replace(lp, objective=[1.0]),
+                replace(lp, objective=[1.0] * 4)):
+        with pytest.raises(ValueError):
+            solve_lp(bad)
+    # warm: the stage's objective goes to the solved handle
+    for objective in ([1.0], [1.0] * 4):
+        stage = replace(lp, rows=lp.rows.copy(), objective=objective)
+        with pytest.raises(ValueError):
+            solve_lp(stage, warm=solve_lp(lp))
+
+
 def test_rows_reject_malformed_csr_and_senses():
     lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0])
     for start, index, value, rhs in (([0, 2], [0], [1.0], [0.0]),      # start past the entries
@@ -273,7 +298,7 @@ def test_warm_solve_matches_cold():
         for _ in range(2):
             if result.status != "optimal":
                 break
-            lp = replace(lp, rows=list(lp.rows),
+            lp = replace(lp, rows=lp.rows.copy(),
                          objective=[rng.uniform(-3, 3) for _ in range(lp.num_vars)])
             for _ in range(rng.randint(1, 3)):
                 coeffs = [(j, rng.uniform(-2, 2)) for j in
@@ -305,8 +330,12 @@ def test_warm_solve_rejects_another_model():
     for other in (other_rows, other_cols, other_sense):
         with pytest.raises(ValueError):
             solve_lp(other, warm=solve_lp(lp))
+    # the same rows rebuilt, not a copy() of the solved ones, are another model
+    rebuilt = replace(lp, rows=list(lp.rows), objective=[1.0, 0.0])
+    with pytest.raises(ValueError):
+        solve_lp(rebuilt, warm=solve_lp(lp))
     first = solve_lp(lp)
-    stage = replace(lp, rows=list(lp.rows), objective=[1.0, 0.0])
+    stage = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
     stage.add_row([(0, 1.0), (1, 1.0)], EQ, first.objective)
     assert solve_lp(stage, warm=first).objective == pytest.approx(1.6)
     with pytest.raises(ValueError):  # its handle went to the solve above
