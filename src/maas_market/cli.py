@@ -8,7 +8,8 @@ Subcommands:
 * ``compare``         baseline vs scenario delta report
 * ``bench``           time lexicographic generation against enumeration
 * ``lemma1``/``lemma2``  closed-form duopoly bounds
-* ``enumerate-paths`` dump every simple path per OD with its deviation cost
+* ``enumerate-paths`` dump every simple path per OD with its deviation cost,
+                      up to ``--cap`` per OD (default: the oracle's cap)
 
 Exit codes: 0 success, 2 infeasible demand, 3 empty core, 4 resource limit,
 1 anything else, a bad command line included.  Failures print a one-line
@@ -34,8 +35,9 @@ from .outcomes import (BUYER_OPTIMAL, SELLER_OPTIMAL, ObjectivePolicy,
                        OutcomeOptions, build_outcome_lp, report, solve_outcome)
 from .randnet import random_instance
 from .scenario import PolicyAnnotations, apply_scenario, load_scenario
-from .stability import (_omega_graph, generate_constraints_algorithm1,
-                        generate_constraints_enumeration, omega, simple_paths)
+from .stability import (ENUMERATION_CAP, _omega_arcs, _predecessors,
+                        generate_constraints_algorithm1,
+                        generate_constraints_enumeration, simple_paths)
 
 EXIT_OK = 0
 EXIT_EMPTY_CORE = 3
@@ -299,13 +301,12 @@ def cmd_enumerate_paths(args) -> int:
     network = load_network(args.network)
     demand = load_demand(args.demand)
     matching = solve_matching(network, demand)
-    duals = matching.duals
-    graph = _omega_graph(network, duals, matching.activations)
+    succ = _omega_arcs(network, matching.duals, matching.activations)
+    pred = _predecessors(succ)
     sys.stdout.write("origin,destination,path,travel_cost,deviation_cost\n")
     for entry in demand.entries:
-        for nodes in simple_paths(graph, entry.od, args.cap):
+        for w, nodes in simple_paths(succ, pred, entry.od, args.cap):
             t = Path(entry.od, nodes).travel_cost(network)
-            w = omega(nodes, network, duals, matching.activations)
             path = "-".join(str(n) for n in nodes)
             sys.stdout.write(f"{entry.origin},{entry.destination},{path},"
                              f"{t:.6f},{w:.6f}\n")
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0,
                    help="also bench this many seeded random instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enum-cap", type=int, default=20000,
+    p.add_argument("--enum-cap", type=int, default=ENUMERATION_CAP,
                    help="simple paths per OD before enumeration is reported "
                         "as capped")
     p.add_argument("--fixed-fare", type=int, action="append")
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-paths", help="dump all simple paths per OD")
     p.add_argument("--network", required=True)
     p.add_argument("--demand", required=True)
-    p.add_argument("--cap", type=int, default=20000)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_enumerate_paths)
 
     return parser

@@ -296,23 +296,23 @@ def flow_lp(network: Network, demand: DemandTable, activations):
     return lp, links, origins, capacity_rows
 
 
-def _diagnose_infeasible(network: Network, demand: DemandTable):
-    import networkx as nx
+def _routable(network: Network, demand: DemandTable) -> bool:
+    """Whether the flow LP with every link operated is feasible."""
+    activations = {l.arc: 1 for l in network.links}
+    return solve_lp(flow_lp(network, demand, activations)[0]).status == "optimal"
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(network.nodes)
-    for link in network.links:
-        graph.add_edge(link.tail, link.head, capacity=link.capacity)
-    no_path = [e.od for e in demand.entries
-               if not nx.has_path(graph, e.origin, e.destination)]
+
+def _diagnose_infeasible(network: Network, demand: DemandTable):
+    from .stability import _dijkstra, _omega_arcs
+
+    succ = _omega_arcs(network, {}, {})  # only reachability is read
+    reach = {o: _dijkstra(succ, o)[0] for o in {e.origin for e in demand.entries}}
+    no_path = [e.od for e in demand.entries if e.destination not in reach[e.origin]]
     if no_path:
         raise InfeasibleMatchingError(
             f"no path exists for OD pairs {no_path}", offending_ods=no_path)
-    starved = []
-    for entry in demand.entries:
-        value, _ = nx.maximum_flow(graph, entry.origin, entry.destination)
-        if value < entry.demand - FLOW_EPS:
-            starved.append(entry.od)
+    starved = [e.od for e in demand.entries
+               if not _routable(network, DemandTable(entries=(e,)))]
     offending = starved or demand.ods
     detail = ("capacity cannot carry demand for" if starved
               else "demand is jointly unroutable across")

@@ -13,7 +13,10 @@ from __future__ import annotations
 import random
 
 from .closedform import CoopCompeteInstance, SmallVsLargeInstance
+from .errors import PathCapExceeded
+from .matching import _routable
 from .network import DemandEntry, DemandTable, Link, Network
+from .stability import _omega_arcs, _predecessors, simple_paths
 
 BIG = 1e7
 MAX_NODES = 10
@@ -22,19 +25,8 @@ MAX_ODS = 3
 PATH_CAP = 20  # simple paths per OD
 
 
-def _still_routable(network: Network, demand: DemandTable) -> bool:
-    from .matching import flow_lp
-    from .solve import solve_lp
-
-    activations = {l.arc: 1 for l in network.links}
-    lp, _, _, _ = flow_lp(network, demand, activations)
-    return solve_lp(lp).status == "optimal"
-
-
 def random_instance(seed: int) -> tuple[Network, DemandTable]:
     """Small feasible instance with at most ``PATH_CAP`` simple paths per OD."""
-    import networkx as nx
-
     rng = random.Random(seed)
     for attempt in range(200):
         n = rng.randint(5, MAX_NODES)
@@ -61,27 +53,24 @@ def random_instance(seed: int) -> tuple[Network, DemandTable]:
                 owner=rng.choice(ops + [0]))
         network = Network(nodes=frozenset(range(1, n + 1)),
                           links=tuple(sorted(links.values(), key=lambda l: l.arc)))
-        graph = nx.DiGraph(list(links))
+        # omega with no duals and every link operated is the travel cost
+        succ = _omega_arcs(network, {}, dict.fromkeys(links, 1))
+        pred = _predecessors(succ)
         num_ods = rng.randint(1, MAX_ODS)
         od_pool = [(o, d) for o in range(1, n + 1) for d in range(1, n + 1)
                    if o < d]
         rng.shuffle(od_pool)
         entries = []
-        ok = True
         for od in od_pool:
             if len(entries) == num_ods:
                 break
-            count = 0
-            cheapest = None
-            for nodes in nx.all_simple_paths(graph, od[0], od[1]):
-                count += 1
-                if count > PATH_CAP:
-                    break
-                cost = sum(links[a].travel_cost
-                           for a in zip(nodes[:-1], nodes[1:]))
-                cheapest = cost if cheapest is None else min(cheapest, cost)
-            if count > PATH_CAP or count == 0:
+            try:
+                costs = [cost for cost, _ in simple_paths(succ, pred, od, PATH_CAP)]
+            except PathCapExceeded:
                 continue
+            if not costs:
+                continue
+            cheapest = min(costs)
             demand = round(rng.uniform(5, 50), 1)
             utility = round(cheapest + rng.uniform(5, 60), 2)
             entries.append(DemandEntry(origin=od[0], destination=od[1],
@@ -101,7 +90,7 @@ def random_instance(seed: int) -> tuple[Network, DemandTable]:
                               max(1.0, total * factor), l.owner)
                          for l in network.links]
             candidate = Network(nodes=network.nodes, links=tuple(new_links))
-            if _still_routable(candidate, demand_table):
+            if _routable(candidate, demand_table):
                 network = candidate
         return network, demand_table
     raise RuntimeError(f"could not generate an instance for seed {seed}")

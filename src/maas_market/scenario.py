@@ -194,11 +194,11 @@ def _apply_edit(network, annotations, edit):
         for f in edit.sources:
             _require_operator(network, f)
         sources = set(edit.sources)
-        for mapping in (annotations.objective_modes,):
-            for f in sorted(sources & set(mapping)):
-                mapping.setdefault(edit.target, mapping[f])
-                if f != edit.target:
-                    del mapping[f]
+        modes = annotations.objective_modes
+        for f in sorted(sources & set(modes)):
+            modes.setdefault(edit.target, modes[f])
+            if f != edit.target:
+                del modes[f]
         if sources & annotations.fixed_fare_operators:
             annotations.fixed_fare_operators -= sources
             annotations.fixed_fare_operators.add(edit.target)

@@ -190,7 +190,7 @@ class LinearProgram:
     maximize: bool = False
     # any sequence of Row is taken into a Rows of its own
     rows: Rows = field(default_factory=Rows)
-    # per-variable (lower, upper); None entries default to (0, +inf)
+    # per-variable (lower, upper) numbers, +-inf for none; None: all (0, +inf)
     bounds: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
@@ -273,10 +273,18 @@ class _Handle:
 
 
 def _column_bounds(lp: LinearProgram) -> np.ndarray:
-    """``lp.effective_bounds()`` as an (n, 2) array."""
+    """``lp.effective_bounds()`` as an (n, 2) array; ValueError unless they
+    are one (lower, upper) pair of numbers per column."""
     if lp.bounds is None:
         return np.column_stack((np.zeros(lp.num_vars), np.full(lp.num_vars, np.inf)))
-    return np.array(lp.bounds, dtype=float)
+    try:
+        bounds = np.array(lp.bounds, dtype=float)
+    except (TypeError, ValueError):
+        bounds = None
+    if bounds is None or bounds.shape != (lp.num_vars, 2) or np.isnan(bounds).any():
+        raise ValueError(f"bounds must be one (lower, upper) pair of numbers "
+                         f"per column, {lp.num_vars} in all")
+    return bounds
 
 
 def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
@@ -295,8 +303,6 @@ def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
     """
     start, index, value, sense, rhs = lp.rows.csr()
     objective = _objective(lp)
-    if bounds.shape != (lp.num_vars, 2):
-        raise ValueError(f"bounds of shape {bounds.shape} for {lp.num_vars} columns")
     eq = sense == _EQ
     order = np.argsort(eq, kind="stable")  # LP row per handle row
     flips = np.where(sense[order] == _GE, -1.0, 1.0)

@@ -20,8 +20,10 @@ origin off it.  The optimal path sets come from the same Dijkstra, run once
 per destination over the reversed arcs, and a depth-first walk that only
 follows arcs which can still finish within the tie tolerance.  Each search
 sums a path's link weights in order, as ``omega`` does, so a path's omega is
-read off the search that found it.  Both run on plain adjacency lists;
-networkx is imported only by the enumeration oracle and the CLI path listing.
+read off the search that found it.  With no tie bound, the same walk gives
+every simple path, in networkx's ``all_simple_paths`` order, to the
+enumeration oracle, the CLI path listing and the random instance generator;
+networkx serves only the tests, as a reference.
 
 Scenarios on one base equilibrium (mergers, acquisitions, fixed fares,
 subsidies, objective modes) share the part of generation that does not read
@@ -54,6 +56,7 @@ from .network import DUMMY_OPERATOR, DemandTable, Network
 TIE_TOL = 1e-6           # omega gap below which two paths are tied
 TIE_CAP = 1000           # tied optimal paths per group before PathCapExceeded
 SUBCOALITION_CAP = 2 ** 12
+ENUMERATION_CAP = 20_000  # simple paths per group before enumeration stops
 
 
 def omega(nodes, network: Network, duals: dict, activations: dict) -> float:
@@ -164,25 +167,22 @@ def _omega_arcs(network: Network, duals, activations) -> dict:
     return succ
 
 
-def _omega_graph(network: Network, duals, activations):
-    """The omega-weighted network as a networkx graph, for the oracle."""
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(network.nodes)
-    for link in network.links:
-        graph.add_edge(link.tail, link.head,
-                       weight=_omega_weight(link, duals, activations),
-                       owner=link.owner)
-    return graph
+def _predecessors(succ) -> dict:
+    """Predecessor lists ``node -> [(tail, weight, owner)]`` of ``succ``."""
+    pred = {node: [] for node in succ}
+    for tail, arcs in succ.items():
+        for head, weight, owner in arcs:
+            pred[head].append((tail, weight, owner))
+    return pred
 
 
-def _near_shortest_paths(succ, back, origin, destination):
-    """Every simple path whose omega is within ``2 * TIE_TOL`` of the
-    shortest, as ``(omega, nodes)``, by a depth-first walk that follows an
-    arc only when the distance ``back`` from its head can still finish
-    within that bound."""
-    limit = back[origin] + 2 * TIE_TOL
+def _near_shortest_paths(succ, back, origin, destination, slack):
+    """Every simple path whose omega is within ``slack`` of the shortest, as
+    ``(omega, nodes)``, by a depth-first walk that follows an arc only when
+    the distance ``back`` from its head can still finish within that bound.
+    With infinite ``slack`` it is every simple path, in the order of
+    networkx's ``all_simple_paths``: both follow the successor lists' order."""
+    limit = back[origin] + slack
     path, on_path = [origin], {origin}
     stack = [(0.0, iter(succ[origin]))]
     while stack:
@@ -219,10 +219,7 @@ def optimal_path_sets(
     """Omega-minimal path set per group: every simple path within
     ``TIE_TOL`` of the cheapest, at most ``TIE_CAP`` of them."""
     succ = _omega_arcs(network, duals, activations)
-    pred = {node: [] for node in succ}
-    for tail, arcs in succ.items():
-        for head, weight, owner in arcs:
-            pred[head].append((tail, weight, owner))
+    pred = _predecessors(succ)
     support = {}  # od -> {nodes: (the decomposition's nodes, z)}
     for path, z in decomposition.path_flows:
         support.setdefault(path.group, {})[path.nodes] = (path.nodes, z)
@@ -236,7 +233,7 @@ def optimal_path_sets(
             raise InfeasibleMatchingError(f"no path exists for OD {od}",
                                           offending_ods=(od,))
         found = []
-        for pair in _near_shortest_paths(succ, back, *od):
+        for pair in _near_shortest_paths(succ, back, *od, 2 * TIE_TOL):
             found.append(pair)
             if len(found) > TIE_CAP and len(_tied(found)) > TIE_CAP:
                 raise PathCapExceeded(
@@ -321,14 +318,18 @@ def _tree_path(parent, target) -> tuple | None:
     return tuple(reversed(nodes))
 
 
-def simple_paths(graph, od, cap: int):
-    """Every simple path of a group, raising ``PathCapExceeded`` past ``cap``."""
-    import networkx as nx
-
-    for count, nodes in enumerate(nx.all_simple_paths(graph, *od), start=1):
+def simple_paths(succ, pred, od, cap: int):
+    """Every simple path of a group over successor lists ``succ`` with
+    predecessor lists ``pred``, as ``(omega, nodes)``, raising
+    ``PathCapExceeded`` past ``cap``."""
+    back = _dijkstra(pred, od[1])[0]
+    if od[0] not in back:
+        return
+    paths = _near_shortest_paths(succ, back, *od, float("inf"))
+    for count, pair in enumerate(paths, start=1):
         if count > cap:
             raise PathCapExceeded(f"OD {od} exceeds the {cap} simple-path cap")
-        yield tuple(nodes)
+        yield pair
 
 
 def _build_covers(network: Network, activations, path_sets, subsidies=None):
@@ -474,16 +475,17 @@ def generate_constraints_enumeration(
     matching: MatchingSolution,
     decomposition: PathFlowSolution,
     subsidies: dict | None = None,
-    path_cap: int = 20_000,
+    path_cap: int = ENUMERATION_CAP,
 ) -> ConstraintSystem:
     """Oracle generator: every simple path of a group is an alternative, and
     every (alternative, anchor) pair keeps its row."""
 
     def every_simple_path(network, duals, activations, memo):
-        graph = _omega_graph(network, duals, activations)
+        succ = _omega_arcs(network, duals, activations)
+        pred = _predecessors(succ)
         return lambda od, pset: (
-            (nodes, omega(nodes, network, duals, activations))
-            for nodes in simple_paths(graph, od, path_cap))
+            (nodes, value)
+            for value, nodes in simple_paths(succ, pred, od, path_cap))
 
     path_sets, covers, rows = _generate(network, demand, matching,
                                         decomposition, subsidies,

@@ -1,6 +1,7 @@
 import pytest
 
-from maas_market import (build_sioux_falls, decompose_flows, fig5,
+from maas_market import (DemandEntry, DemandTable, Link, Network,
+                         build_sioux_falls, decompose_flows, fig5,
                          generate_constraints_algorithm1, solve_matching)
 from maas_market.randnet import random_instance
 
@@ -12,6 +13,25 @@ def pipeline_artifacts(network, demand, subsidies=None):
     system = generate_constraints_algorithm1(network, demand, matching,
                                              decomposition, subsidies=subsidies)
     return matching, matching.duals, decomposition, system
+
+
+def float_capacity_shortfall():
+    """Infeasible demand on float capacities: at most 24.94 + 14.36 of the
+    43.9 travelers from 1 to 2 fit.  networkx 3.6.1's preflow-push max-flow
+    raised a ValueError on exactly these capacities."""
+    capacities = {(1, 2): 24.936188087919852, (1, 5): 29.372720903889945,
+                  (1, 7): 70.81613918213137, (2, 3): 84.77414334457427,
+                  (3, 4): 16.520843067290905, (3, 6): 86.2580523998798,
+                  (4, 5): 81.44766291420966, (6, 2): 14.361542408731012,
+                  (6, 5): 56.201814158965746, (6, 7): 30.912061413392905,
+                  (7, 6): 39.32247118890903}
+    network = Network(nodes=frozenset(range(1, 8)), links=tuple(
+        Link(*arc, travel_cost=1, operating_cost=1, capacity=capacity, owner=1)
+        for arc, capacity in capacities.items()))
+    demand = DemandTable(entries=(DemandEntry(1, 2, 43.9, 100),
+                                  DemandEntry(1, 3, 25.4, 100),
+                                  DemandEntry(3, 4, 8.0, 100)))
+    return network, demand
 
 
 @pytest.fixture(scope="session")

@@ -437,7 +437,7 @@ def test_criterion5_acquisition():
 
 
 def test_criterion5_capacity_dual():
-    from maas_market.randnet import _still_routable
+    from maas_market.matching import _routable
 
     def check(seed, network, demand):
         # squeeze the most loaded link until its capacity dual binds
@@ -457,7 +457,7 @@ def test_criterion5_capacity_dual():
                             for l in network.links))
 
         tight = with_cap(flow * 0.6)
-        if not _still_routable(tight, demand):
+        if not _routable(tight, demand):
             return None
         matching1 = solve_matching(tight, demand)
         duals1 = matching1.duals

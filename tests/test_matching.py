@@ -1,10 +1,15 @@
+import json
+
 import pytest
 
 from maas_market import (DemandEntry, DemandTable, InfeasibleMatchingError,
                          Link, Network, Path, build_mcnd, decompose_flows,
-                         extract_duals, fig5, solve_matching, solve_milp)
+                         dump_demand, dump_network, extract_duals, fig5,
+                         solve_matching, solve_milp)
+from maas_market.cli import main
 from maas_market.matching import FLOW_EPS, _walk_paths
 from maas_market.randnet import random_instance
+from conftest import float_capacity_shortfall
 
 def _line_network():
     links = (Link(1, 2, travel_cost=2, operating_cost=5, capacity=10, owner=1),)
@@ -102,6 +107,20 @@ def test_capacity_shortfall_reported():
     with pytest.raises(InfeasibleMatchingError) as info:
         solve_matching(_line_network(), demand)
     assert info.value.offending_ods == ((1, 2),)
+
+
+def test_float_capacity_shortfall_reported(tmp_path, capsys):
+    network, demand = float_capacity_shortfall()
+    with pytest.raises(InfeasibleMatchingError) as info:
+        solve_matching(network, demand)
+    assert info.value.offending_ods == ((1, 2),)
+    dump_network(network, tmp_path / "network.csv")
+    dump_demand(demand, tmp_path / "demand.csv")
+    code = main(["run", "--network", str(tmp_path / "network.csv"),
+                 "--demand", str(tmp_path / "demand.csv"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error_class"] == "infeasible_demand"
 
 
 def test_fig5_decomposition(fig5_pipeline):

@@ -227,6 +227,20 @@ def test_objective_and_bounds_need_one_entry_per_column():
             solve_lp(stage, warm=solve_lp(lp))
 
 
+def test_bounds_must_be_one_pair_of_numbers_per_column():
+    for bounds in ([(0.0, 3.0), None], [(0.0, None), (0.0, 1.0)],
+                   [(0.0, 1.0)], [(0.0, 1.0, 2.0)] * 2):
+        lp = LinearProgram(num_vars=2, objective=[1.0, 1.0], bounds=bounds)
+        lp.add_row([(0, 1.0), (1, 1.0)], LE, 4.0)
+        with pytest.raises(ValueError, match="bounds must be"):
+            solve_lp(lp)
+    # the branch-and-bound reads a binary's bounds before any solve
+    lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0], bounds=[(0, 1)])
+    lp.add_row([(0, 1.0), (1, 1.0), (2, 1.0)], LE, 4.0)
+    with pytest.raises(ValueError, match="bounds must be"):
+        solve_milp(MixedIntegerProgram(lp, frozenset({2})))
+
+
 def test_rows_reject_malformed_csr_and_senses():
     lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0])
     for start, index, value, rhs in (([0, 2], [0], [1.0], [0.0]),      # start past the entries

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -22,9 +24,11 @@ from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
 from maas_market.scenario import MergeOperators, ScaleTravel, Surcharge
 from maas_market.stability import (TIE_TOL, _build_covers, _dijkstra,
-                                   _omega_arcs, _omega_graph, _tree_path,
-                                   generate_constraints_enumeration)
-from conftest import pipeline_artifacts
+                                   _omega_arcs, _omega_weight, _predecessors,
+                                   _tree_path,
+                                   generate_constraints_enumeration,
+                                   simple_paths)
+from conftest import float_capacity_shortfall, pipeline_artifacts
 
 
 def test_omega_fig5_paths(fig5_instance, fig5_pipeline):
@@ -96,6 +100,17 @@ def test_excluded_shortest_path_fig5(fig5_instance, fig5_pipeline):
     assert _excluded_path(succ, (1, 4), all_ops) is None
 
 
+def omega_graph(network, duals, activations):
+    """Reference: the omega-weighted network as a networkx graph."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(network.nodes)
+    for link in network.links:
+        graph.add_edge(link.tail, link.head,
+                       weight=_omega_weight(link, duals, activations),
+                       owner=link.owner)
+    return graph
+
+
 def networkx_excluded_path(graph, od, pi):
     """Reference: ``nx.dijkstra_path`` on the view without pi's links."""
     banned = set(pi)
@@ -124,7 +139,7 @@ def test_tree_paths_equal_networkx_dijkstra(reference_instances):
     for network, demand, matching, decomposition, _ in reference_instances:
         duals, activations = decomposition.duals, matching.activations
         succ = _omega_arcs(network, duals, activations)
-        graph = _omega_graph(network, duals, activations)
+        graph = omega_graph(network, duals, activations)
         owners = network.operators - {0}
         for entry in demand.entries:
             for pi in [()] + subcoalitions(owners):
@@ -144,7 +159,7 @@ def test_optimal_path_sets_equal_yen_walk(reference_instances):
     ties = 0
     for network, demand, matching, decomposition, _ in reference_instances:
         duals, activations = decomposition.duals, matching.activations
-        graph = _omega_graph(network, duals, activations)
+        graph = omega_graph(network, duals, activations)
         sets = optimal_path_sets(network, demand, duals, activations,
                                  decomposition)
         for entry in demand.entries:
@@ -153,6 +168,26 @@ def test_optimal_path_sets_equal_yen_walk(reference_instances):
                                             activations), entry.od
             ties += len(got) > 1
     assert ties > 0
+
+
+def test_simple_paths_equal_networkx_simple_paths(reference_instances):
+    """The oracle's alternatives are networkx's simple paths in networkx's
+    order, each with its ``omega``; the first 20 per group."""
+    checked = 0
+    for network, demand, matching, decomposition, _ in reference_instances:
+        duals, activations = decomposition.duals, matching.activations
+        succ = _omega_arcs(network, duals, activations)
+        pred = _predecessors(succ)
+        graph = omega_graph(network, duals, activations)
+        for od in demand.ods:
+            got = list(itertools.islice(
+                simple_paths(succ, pred, od, math.inf), 20))
+            want = itertools.islice(nx.all_simple_paths(graph, *od), 20)
+            assert [nodes for _, nodes in got] == [tuple(p) for p in want], od
+            for value, nodes in got:
+                assert value == omega(nodes, network, duals, activations), nodes
+            checked += len(got)
+    assert checked > 10_000
 
 
 def _per_operator_covers(network, activations, path_sets, subsidies=None):
@@ -240,19 +275,31 @@ def test_unroutable_od_raises_infeasible_matching():
     assert info.value.offending_ods == ((1, 3),)
 
 
-def test_algorithm1_runs_without_networkx():
+def test_algorithm1_runs_without_networkx(tmp_path):
+    """Algorithm 1, the oracle, the instance generator, ``enumerate-paths``
+    and the infeasibility diagnosis run where importing networkx fails."""
+    files = {}
+    for name, (network, demand) in (("fig5", fig5()),
+                                    ("short", float_capacity_shortfall())):
+        files[name] = [f"--network={tmp_path / name}-network.csv",
+                       f"--demand={tmp_path / name}-demand.csv"]
+        maas_market.dump_network(network, tmp_path / f"{name}-network.csv")
+        maas_market.dump_demand(demand, tmp_path / f"{name}-demand.csv")
     script = "\n".join((
         "import sys",
+        "sys.modules['networkx'] = None",  # any import of it fails
         "import maas_market as mm",
-        "from maas_market.cli import run_pipeline",
+        "from maas_market.cli import main, run_pipeline",
+        "from maas_market.randnet import random_instance",
         "network, demand = mm.fig5()",
         "result = run_pipeline(network, demand, mm.PolicyAnnotations())",
         "assert result['outcomes']['seller'].status == 'optimal'",
-        "assert 'networkx' not in sys.modules, 'Algorithm 1 loaded networkx'",
         "oracle = mm.generate_constraints_enumeration(",
         "    network, demand, result['matching'], result['decomposition'])",
-        "assert 'networkx' in sys.modules",
         "assert len(oracle.stability_rows) > len(result['system'].stability_rows)",
+        "random_instance(0)",
+        f"assert main(['enumerate-paths', *{files['fig5']!r}]) == 0",
+        f"assert main(['run', '--out={tmp_path / 'out'}', *{files['short']!r}]) == 2",
     ))
     src = str(Path(maas_market.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -260,6 +307,7 @@ def test_algorithm1_runs_without_networkx():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert '"error_class": "infeasible_demand"' in done.stderr
 
 
 def test_fig5_lexicographic_system_exact(fig5_pipeline):
