@@ -4,16 +4,16 @@ Variables are the per-group surplus u_s and the per-(path, operator) price
 p_rf, both non-negative.  The platform operator never carries a price
 variable.  Solving a vertex happens in two stages: the requested objective
 first, then a lexicographic re-optimization of operator revenues (ascending
-operator id, previous optima pinned) so the reported split is canonical even
-when the vertex is degenerate.
+operator id, each over the optimal face of the objectives before) so the
+reported split is canonical even when the vertex is degenerate.
 
-The pins are exact ``=`` rows.  Each tie-break stage is one ``solve_lp``
-call that re-solves warm on the primary solve's HiGHS handle: it adds the
-pin of the stage before and swaps in the next operator's revenue as the
-objective.  The optimal basis of the stage before satisfies the new pin,
-so the primal simplex starts from a feasible basis; only the model's
-first solve is cold.  Where revenues tie, prices are not unique, and a
-warm stage may stop at another optimal price split than a cold one would;
+Each tie-break stage is one ``solve_lp`` call that re-solves warm on the
+primary solve's HiGHS handle: it swaps in the next operator's revenue and
+maximises it over the optimal face of the stage before, which the solver
+fixes by bounds (see :mod:`maas_market.solve`).  No row is added, so there
+is no pin of an optimum for HiGHS to find infeasible.  Only the model's
+first solve is cold.  Where revenues tie, prices are not unique, and a warm
+stage may stop at another optimal price split than a cold one would;
 revenues and the objective do not move.
 
 The rows that no policy or option changes -- the surplus equalities, the
@@ -241,31 +241,25 @@ def solve_outcome(
 
 
 def _lexicographic_revenue_tiebreak(model, primary):
-    """Pin the primary objective, then maximize each operator's revenue in
-    ascending id order, pinning each optimum before moving on.
+    """Maximize each operator's revenue in ascending id order, each over the
+    optimal face of the primary objective and of the stages before.
 
     ``primary`` is the optimal result of ``model.lp``; each stage re-solves
-    warm from the stage before.  Returns the last stage's solution, or the
-    primary one when no operator earns revenue.  The pins go on a copy of
-    the rows, so ``model`` is unchanged.
+    warm from the stage before, on the same rows.  Returns the last stage's
+    solution, or the primary one when no operator earns revenue.  ``model``
+    is unchanged.
     """
-    lp = model.lp
-    stage = replace(lp, rows=lp.rows.copy())
-    stage.add_row([(i, v) for i, v in enumerate(lp.objective) if v != 0],
-                  EQ, primary.objective)
     result = primary
     for f in sorted(model.system.covers):
-        coeffs = [(c, v) for c, v in model.revenue_terms.get(f, ()) if v != 0]
-        if not coeffs:
+        objective = [0.0] * model.lp.num_vars
+        for c, v in model.revenue_terms.get(f, ()):
+            objective[c] = v
+        if not any(objective):
             continue
-        stage.objective = [0.0] * lp.num_vars
-        for c, v in coeffs:
-            stage.objective[c] = v
-        result = solve_lp(stage, warm=result)
+        result = solve_lp(replace(model.lp, objective=objective), warm=result)
         if result.status != "optimal":
             raise SolveNumericalError(
                 f"revenue tie-break stage for operator {f}: {result.status}")
-        stage.add_row(coeffs, EQ, result.objective)
     return result.x
 
 

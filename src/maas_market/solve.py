@@ -29,19 +29,18 @@ Lagrangian bound on closing it exceeds a known solution's cost by
 
 Pure LPs go through the same handle builder: one cold HiGHS solve, whose
 row duals are read from the solution.  An optimal LP result keeps its
-handle, so a later LP over the same columns whose rows extend a
-:meth:`Rows.copy` of the solved ones can re-solve warm
-(``solve_lp(lp, warm=result)``): only the new rows are added and the
-objective replaced, and HiGHS starts from the optimal basis already on the
-handle.  That basis stays primal feasible when the new rows hold at the
-old optimum -- a row pinning the old objective to its optimal value does --
-and only the new objective makes it non-optimal, so the warm solve runs the
-primal simplex.  The dual simplex, which suits a cold solve, would first
-have to repair the dual infeasibility the new objective causes.  The handle
-is the private binding ``scipy.optimize._highspy._core._Highs`` (HiGHS
-1.12.0 in scipy 1.17), on which ``linprog`` is built; a scipy without it
-fails at import.  HiGHS gets the model in ``linprog``'s form (see
-:func:`_highs_handle`) with ``linprog``'s options.
+handle, and ``solve_lp(lp, warm=result)`` re-solves on it: it optimises
+``lp.objective`` over the optimal face of ``result``, which complementary
+slackness fixes by bounds alone (Bertsimas and Tsitsiklis, *Introduction
+to Linear Optimization*, 1997, ch. 4), so no row is added.  The old optimum
+lies on the face, so its basis stays primal feasible and only the new
+objective makes it non-optimal: the warm solve runs the primal simplex.
+The dual simplex, which suits a cold solve, would first have to repair the
+dual infeasibility the new objective causes.  The handle is the private
+binding ``scipy.optimize._highspy._core._Highs`` (HiGHS 1.12.0 in scipy
+1.17), on which ``linprog`` is built; a scipy without it fails at import.
+HiGHS gets the model in ``linprog``'s form (see :func:`_highs_handle`) with
+``linprog``'s options.
 
 The configuration is fixed: no tolerance, gap or limit is settable.
 Reported duals follow the convention ``dual = d(objective)/d(rhs)`` in the
@@ -66,6 +65,7 @@ LE, EQ, GE = "<=", "=", ">="
 
 MIP_GAP = 1e-6         # absolute: a node is pruned unless it beats the incumbent by this
 NODE_LIMIT = 200_000   # branch-and-bound children before ResourceLimitExceeded
+FACE_TOL = 1e-9        # a reduced cost or row dual above this (absolute) is nonzero
 
 _LP_STATUS = {HighsModelStatus.kOptimal: "optimal",
               HighsModelStatus.kInfeasible: "infeasible",
@@ -102,8 +102,7 @@ class Rows(Sequence):
     never written once built: ``Rows(rows)`` builds one block from
     :class:`Row` values and :meth:`extend` adds one.  A :meth:`copy` shares
     the blocks, and later additions to either side leave the other
-    unchanged; a copy extended with new rows still starts with the very
-    blocks of its original, which is what :meth:`after` looks for.
+    unchanged; :meth:`shares` tells whether two rows hold the same blocks.
     """
 
     def __init__(self, rows=()):
@@ -139,14 +138,11 @@ class Rows(Sequence):
         rows._blocks, rows._count, rows._merged = list(self._blocks), self._count, self._merged
         return rows
 
-    def after(self, prefix: Rows):
-        """The arrays of the rows past ``prefix`` as :meth:`csr` gives them,
-        or None unless these rows extend a :meth:`copy` of ``prefix``: they
-        must start with its very blocks."""
-        n = len(prefix._blocks)
-        if len(self._blocks) < n or any(a is not b for a, b in zip(self._blocks, prefix._blocks)):
-            return None
-        return _merge(self._blocks[n:])
+    def shares(self, other: Rows) -> bool:
+        """Whether these rows hold the very blocks of ``other`` and no
+        more: one is a :meth:`copy` of the other, and neither has grown."""
+        return (len(self._blocks) == len(other._blocks)
+                and all(a is b for a, b in zip(self._blocks, other._blocks)))
 
     def __len__(self) -> int:
         return self._count
@@ -268,8 +264,8 @@ class _Handle:
     lp_rows: np.ndarray              # LP row index of each handle row
     flips: np.ndarray                # -1 where the handle negated a >= row
     sign: float                      # -1 when the LP maximizes
-    rows: Rows | None = None         # the LP rows on the handle, in LP order
-    shape: tuple = ()                # the LP's (num_vars, maximize, bounds)
+    rows: Rows                       # the LP rows on the handle, in LP order
+    shape: tuple                     # the LP's (num_vars, maximize, bounds)
 
 
 def _column_bounds(lp: LinearProgram) -> np.ndarray:
@@ -325,7 +321,8 @@ def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
     if status == HighsStatus.kError:
         raise ValueError("HiGHS rejected the LP: a row lists a column twice "
                          "or one out of range, or a cost or bound is not valid")
-    return _Handle(highs=highs, lp_rows=order, flips=flips, sign=sign)
+    return _Handle(highs=highs, lp_rows=order, flips=flips, sign=sign,
+                   rows=lp.rows.copy(), shape=(lp.num_vars, lp.maximize, lp.bounds))
 
 
 def _objective(lp: LinearProgram) -> np.ndarray:
@@ -347,34 +344,40 @@ def _run(highs) -> str:
     return _LP_STATUS[status]
 
 
-def _extend(lp: LinearProgram, warm: SolveResult) -> _Handle:
-    """Take ``warm``'s handle and add the rows of ``lp`` past the solved
-    ones, as given (no sign flip), with ``lp``'s objective in place of the
-    old one."""
+def _restrict_to_face(lp: LinearProgram, warm: SolveResult) -> _Handle:
+    """Take ``warm``'s handle, restrict it to the optimal face of the LP it
+    solved and put ``lp``'s objective in place of the old one.
+
+    A feasible point is on that face exactly when it keeps the value of each
+    column whose reduced cost is nonzero and holds each row whose dual is
+    nonzero with equality (the handle's inequality rows bind at their upper
+    bound).  "Nonzero" is above ``FACE_TOL``: below HiGHS's dual feasibility
+    tolerance (1e-7), so no dual the solver counts leaves its column or row
+    free to trade away an earlier objective, and above the rounding left on
+    zero duals.  1e-7 and 1e-11 gave the same answers.
+    """
     handle = warm.handle
     if handle is None:
         raise ValueError("warm start needs an optimal LP result whose "
                          "handle no later solve has taken")
-    new = lp.rows.after(handle.rows)
-    if (lp.num_vars, lp.maximize, lp.bounds) != handle.shape or new is None:
+    if ((lp.num_vars, lp.maximize, lp.bounds) != handle.shape
+            or not lp.rows.shares(handle.rows)):
         raise ValueError("warm start needs the same columns, sense and bounds, "
-                         "and rows that extend a copy() of the solved rows")
-    cost = handle.sign * _objective(lp)
-    start, index, value, sense, rhs = new
-    if len(rhs):
-        status = handle.highs.addRows(
-            len(rhs), np.where(sense == _LE, -np.inf, rhs),
-            np.where(sense == _GE, np.inf, rhs), len(index),
-            start[:-1].astype(np.int32), index, value)
-        if status == HighsStatus.kError:
-            raise ValueError("HiGHS rejected the new rows: a column out of "
-                             "range or listed twice in a row")
-        first = len(handle.lp_rows)
-        handle.lp_rows = np.concatenate((handle.lp_rows, np.arange(first, first + len(rhs))))
-        handle.flips = np.concatenate((handle.flips, np.ones(len(rhs))))
+                         "and the very rows that were solved")
+    highs = handle.highs
+    solution = highs.getSolution()
+    cols = np.flatnonzero(np.abs(solution.col_dual) > FACE_TOL).astype(np.int32)
+    value = np.asarray(solution.col_value)[cols]
+    highs.changeColsBounds(len(cols), cols, value, value)
+    sense, rhs = lp.rows.csr()[3:]
+    bound = handle.flips * rhs[handle.lp_rows]  # each handle row's upper bound
+    binding = (np.abs(solution.row_dual) > FACE_TOL) & (sense[handle.lp_rows] != _EQ)
+    for k in np.flatnonzero(binding).tolist():
+        highs.changeRowBounds(k, bound[k], bound[k])
     warm.handle = None
-    handle.highs.changeColsCost(lp.num_vars, np.arange(lp.num_vars, dtype=np.int32), cost)
-    handle.highs.setOptionValue("simplex_strategy", 4)  # primal simplex
+    highs.changeColsCost(lp.num_vars, np.arange(lp.num_vars, dtype=np.int32),
+                         handle.sign * _objective(lp))
+    highs.setOptionValue("simplex_strategy", 4)  # primal simplex
     return handle
 
 
@@ -390,26 +393,24 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
     """Solve a pure LP to an optimal basic solution with row duals.
 
     ``warm``, an earlier optimal result of this function, hands its HiGHS
-    handle to this solve: ``lp`` must have the same columns, sense and
-    bounds, and its rows must extend a :meth:`Rows.copy` of the rows that
-    result solved, else ``ValueError``.  Only the rows past that copy are
-    added and the objective replaced; the primal simplex re-solves from the
-    handle's optimal basis.  A result can warm-start one later solve only.
+    handle to this solve, which optimises ``lp.objective`` over the optimal
+    face of that result with the primal simplex, from the handle's basis.
+    ``lp`` must have the same columns, sense and bounds and the very rows
+    that result solved (the same :class:`Rows` or a :meth:`Rows.copy`, with
+    nothing added), else ``ValueError``.  The duals are those of the LP
+    restricted to the face.  A result can warm-start one later solve only.
     """
     if lp.num_vars == 0 and warm is None:
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
-    if warm is None:
-        handle = _highs_handle(lp, _column_bounds(lp))
-    else:
-        handle = _extend(lp, warm)
+    handle = (_highs_handle(lp, _column_bounds(lp)) if warm is None
+              else _restrict_to_face(lp, warm))
     highs = handle.highs
     status = _run(highs)
     if status != "optimal":
         return SolveResult(status=status)
     solution = highs.getSolution()
     duals = _row_duals(handle, solution, len(lp.rows))
-    handle.rows, handle.shape = lp.rows.copy(), (lp.num_vars, lp.maximize, lp.bounds)
     return SolveResult(status="optimal", x=np.array(solution.col_value),
                        objective=handle.sign * highs.getInfo().objective_function_value,
                        duals=duals, handle=handle)

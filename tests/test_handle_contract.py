@@ -3,8 +3,9 @@
 The handle builder reorders and transposes each LP's CSR rows with numpy.
 These tests record what it passes to HiGHS for every model of the pipeline
 and compare it with a reference built from ``lp.rows`` with
-``scipy.sparse``: the matching MILP, the flow LP, the outcome LPs with and
-without fixed-fare rows, and the rows each warm tie-break stage adds.
+``scipy.sparse``: the matching MILP, the flow LP and the outcome LPs with
+and without fixed-fare rows.  The warm tie-break stages restrict the
+outcome LP's handle to an optimal face by bounds, so they add no row.
 """
 
 import math
@@ -19,7 +20,7 @@ from maas_market import (ObjectivePolicy, OutcomeOptions, build_outcome_lp,
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
 from maas_market.scenario import Scenario, SetCapacity, apply_scenario
-from maas_market.solve import EQ, GE, LE
+from maas_market.solve import EQ, GE
 
 
 def _instances():
@@ -48,8 +49,9 @@ def _pipeline(network, demand):
 
 def _record(monkeypatch):
     """Patch the solver to record, per cold handle, the LP and the model
-    HiGHS holds once it is passed, and per warm extension, the LP, the rows
-    solved before and the rows added.  Returns the two lists."""
+    HiGHS holds once it is passed; per warm stage, the LP's row count and
+    the handle's; and the arguments of every ``addRows`` call.  Returns the
+    three lists."""
     cold, warm, passed, added = [], [], [], []
 
     class Recorded(solve._Highs):
@@ -63,26 +65,25 @@ def _record(monkeypatch):
             return status
 
         def addRows(self, *args):
-            added.append([np.array(arg) for arg in args])
+            added.append(args)
             return super().addRows(*args)
 
-    highs_handle, extend = solve._highs_handle, solve._extend
+    highs_handle, restrict = solve._highs_handle, solve._restrict_to_face
 
     def recorded_handle(lp, bounds):
         handle = highs_handle(lp, bounds)
         cold.append((_snapshot(lp), np.array(bounds), passed.pop()))
         return handle
 
-    def recorded_extend(lp, result):
-        solved = len(result.handle.lp_rows)
-        handle = extend(lp, result)
-        warm.append((_snapshot(lp), solved, added.pop() if len(lp.rows) > solved else None))
+    def recorded_restrict(lp, result):
+        handle = restrict(lp, result)
+        warm.append((len(lp.rows), handle.highs.getNumRow()))
         return handle
 
     monkeypatch.setattr(solve, "_Highs", Recorded)
     monkeypatch.setattr(solve, "_highs_handle", recorded_handle)
-    monkeypatch.setattr(solve, "_extend", recorded_extend)
-    return cold, warm
+    monkeypatch.setattr(solve, "_restrict_to_face", recorded_restrict)
+    return cold, warm, added
 
 
 def _snapshot(lp):
@@ -106,21 +107,8 @@ def _linprog_form(snapshot, bounds):
             "row_upper": upper, "start": A.indptr, "index": A.indices, "value": A.data}
 
 
-def _added_rows(snapshot, solved):
-    """The ``addRows`` arguments for the rows of ``snapshot`` past ``solved``,
-    as given: no sign flip, in LP order."""
-    new = snapshot[3][solved:]
-    lengths = [len(row.coeffs) for row in new]
-    return [len(new),
-            [row.rhs if row.sense != LE else -math.inf for row in new],
-            [row.rhs if row.sense != GE else math.inf for row in new],
-            sum(lengths), np.cumsum([0] + lengths[:-1]),
-            [j for row in new for j, _ in row.coeffs],
-            [v for row in new for _, v in row.coeffs]]
-
-
 def test_handles_get_each_lp_in_linprog_form(monkeypatch):
-    cold, warm = _record(monkeypatch)
+    cold, warm, added = _record(monkeypatch)
     for label, (network, demand) in _instances():
         before = len(cold)
         _pipeline(network, demand)
@@ -129,9 +117,7 @@ def test_handles_get_each_lp_in_linprog_form(monkeypatch):
         want = _linprog_form(snapshot, bounds)
         for name, array in want.items():
             np.testing.assert_array_equal(model[name], array, err_msg=name)
-    for snapshot, solved, args in warm:
-        if args is not None:
-            for got, want in zip(args, _added_rows(snapshot, solved)):
-                np.testing.assert_array_equal(got, want)
-    # every stage after the primary solve re-solves warm, adding its pin
-    assert sum(args is not None for _, _, args in warm) == len(warm) > 100
+    # every stage after the primary solve re-solves warm on the rows it had
+    assert len(warm) > 100
+    assert all(lp_rows == handle_rows for lp_rows, handle_rows in warm)
+    assert added == []

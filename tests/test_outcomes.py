@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from maas_market import (DemandEntry, DemandTable, Link, Network,
@@ -8,7 +9,8 @@ from maas_market import (DemandEntry, DemandTable, Link, Network,
                          check_core_nonempty, outcomes, report, solve_lp,
                          solve_outcome)
 from maas_market.errors import SolveNumericalError
-from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
+from maas_market.outcomes import (BUYER_OPTIMAL, REVENUE_MAX, SELLER_OPTIMAL,
+                                  WELFARE_MAX)
 from maas_market.scenario import SetCapacity
 from maas_market.solve import EQ
 from conftest import pipeline_artifacts
@@ -108,8 +110,9 @@ def _cover_flows(system):
 
 
 def _cold_tiebreak(model, primary_value, x):
-    """The revenue tie-break with one cold solve per stage, as it was before
-    stages re-solved warm on the primary solve's handle."""
+    """The revenue tie-break with an exact pin row on each optimum before
+    and one cold solve per stage: an independent reference for the warm
+    stages, which work on the optimal face instead."""
     lp = model.lp
     stage = replace(lp, rows=list(lp.rows))
     primary = [(i, v) for i, v in enumerate(lp.objective) if v != 0]
@@ -147,12 +150,13 @@ def sioux_falls_cut():
 
 def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
                                     monkeypatch):
-    calls = []
+    calls, results = [], []
     warm_solve = outcomes.solve_lp
 
     def counted(lp, warm=None):
         calls.append(warm)
-        return warm_solve(lp, warm=warm)
+        results.append(warm_solve(lp, warm=warm))
+        return results[-1]
 
     monkeypatch.setattr(outcomes, "solve_lp", counted)
     solved = 0
@@ -160,6 +164,7 @@ def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
         for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
             model = build_outcome_lp(system, ObjectivePolicy(global_mode=mode))
             calls.clear()
+            results.clear()
             got = solve_outcome(model, matching=matching, network=network)
             primary = solve_lp(model.lp)
             if primary.status != "optimal":
@@ -174,6 +179,9 @@ def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
                               for od, nodes, g in model.p_index)]
             assert len(calls) == 1 + len(earning)
             assert calls[0] is None and None not in calls[1:]  # stages re-solve warm
+            # the last stage's point keeps the primary optimum
+            assert np.dot(model.lp.objective, results[-1].x) == pytest.approx(
+                primary.objective, rel=1e-9)
             assert got.objective == pytest.approx(want.objective, rel=1e-7)
             assert list(got.operators) == list(want.operators)
             for f, metrics in want.operators.items():
@@ -183,6 +191,29 @@ def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
             assert again.prices == got.prices
             solved += 1
     assert solved > 300
+
+
+def test_split_network_rail_acquisition_vertex():
+    # Sioux Falls with its bus layer split among six firms by the tail of
+    # each link; rail at welfare-max, each firm at revenue-max.  An exact pin
+    # row per tie-break stage made rail's stage infeasible here.
+    network, demand = build_sioux_falls(transfer_cost=2.0, utility=40.0,
+                                        capacity_scale=10 / 3)
+    network = network.replace_links([
+        link if link.owner != 1 else replace(link, owner=11 + (link.tail - 1) // 4)
+        for link in network.links])
+    matching, _, _, system = pipeline_artifacts(network, demand)
+    policy = ObjectivePolicy(per_operator={2: WELFARE_MAX} | {
+        f: REVENUE_MAX for f in range(11, 17)})
+    out = solve_outcome(build_outcome_lp(system, policy),
+                        matching=matching, network=network)
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(7_832_114.98, rel=1e-7)
+    revenues = {2: 62.00, 11: 529_836.67, 12: 679_700.0, 13: 2_874_946.67,
+                14: 1_614_430.0, 15: 544_086.67, 16: 1_585_200.0}
+    assert list(out.operators) == list(revenues)
+    for f, revenue in revenues.items():
+        assert out.operators[f].revenue == pytest.approx(revenue, rel=1e-7), f
 
 
 def test_buyer_seller_ordering(fig5_pipeline):

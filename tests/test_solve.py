@@ -266,11 +266,10 @@ def test_a_row_listing_a_column_twice_is_rejected():
     with pytest.raises(ValueError):
         solve_lp(bad)
     first = solve_lp(lp)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # and rows past the solved ones are another model
         solve_lp(bad, warm=first)
     # the rejected rows left the handle as it was, so it still warm-starts
     stage = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
-    stage.add_row([(0, 1.0), (1, 1.0)], EQ, first.objective)
     assert solve_lp(stage, warm=first).objective == pytest.approx(4.0)
 
 
@@ -301,36 +300,47 @@ def _assert_certified(lp, result, tol=1e-7):
             assert reduced[j] <= tol, j
 
 
+def _assert_feasible(lp, x, tol=1e-7):
+    """``x`` satisfies every row and bound of ``lp``."""
+    for k, row in enumerate(lp.rows):
+        gap = row.rhs - sum(v * x[j] for j, v in row.coeffs)
+        assert {LE: gap >= -tol, GE: gap <= tol, EQ: abs(gap) <= tol}[row.sense], k
+    for j, (lower, upper) in enumerate(lp.effective_bounds()):
+        assert lower - tol <= x[j] <= upper + tol, j
+
+
 def test_warm_solve_matches_cold():
-    # each stage appends rows through the last optimum, loose, tight or
-    # cutting it off, and swaps the objective, as the revenue tie-break does
+    # each stage swaps the objective and re-solves warm over the optimal face
+    # of the stage before, as the revenue tie-break does; the reference is a
+    # cold solve of the LP with an exact pin row on each objective before.
+    # Objectives that leave half their columns out give faces wider than a
+    # vertex, some of them unbounded.
     rng = random.Random(23)
-    statuses = []
+    statuses, moved = [], 0
     for _ in range(200):
         lp = _random_lp(rng)
-        result = solve_lp(lp)
+        lp.objective = [rng.choice([0.0, v]) for v in lp.objective]
+        result = cold = solve_lp(lp)
+        pinned = replace(lp, rows=list(lp.rows))
         for _ in range(2):
             if result.status != "optimal":
                 break
-            lp = replace(lp, rows=lp.rows.copy(),
-                         objective=[rng.uniform(-3, 3) for _ in range(lp.num_vars)])
-            for _ in range(rng.randint(1, 3)):
-                coeffs = [(j, rng.uniform(-2, 2)) for j in
-                          sorted(rng.sample(range(lp.num_vars), rng.randint(1, lp.num_vars)))]
-                activity = sum(v * result.x[j] for j, v in coeffs)
-                sense = rng.choice([LE, GE, EQ])
-                offset = 0.0 if sense == EQ else rng.choice([0.0, 0.5, -0.5])
-                lp.add_row(coeffs, sense, activity + (offset if sense == LE else -offset))
-            cold = solve_lp(lp)
-            result = solve_lp(lp, warm=result)
+            pinned.add_row(list(enumerate(pinned.objective)), EQ, cold.objective)
+            objective = [rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(lp.num_vars)]
+            pinned = replace(pinned, objective=objective)
+            cold = solve_lp(pinned)
+            before = result.x
+            result = solve_lp(replace(lp, objective=objective), warm=result)
             assert result.status == cold.status
             statuses.append(cold.status)
             if cold.status == "optimal":
                 assert result.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
                 assert len(result.duals) == len(lp.rows)
-                _assert_certified(lp, result)
-    assert statuses.count("optimal") >= 100
-    assert {"infeasible", "unbounded"} <= set(statuses)
+                _assert_feasible(pinned, result.x)
+                _assert_certified(pinned, cold)
+                moved += not np.allclose(result.x, before)
+    assert statuses.count("optimal") >= 100 and moved >= 10
+    assert set(statuses) == {"optimal", "unbounded"}  # a face is never empty
 
 
 def test_warm_solve_rejects_another_model():
@@ -348,9 +358,19 @@ def test_warm_solve_rejects_another_model():
     rebuilt = replace(lp, rows=list(lp.rows), objective=[1.0, 0.0])
     with pytest.raises(ValueError):
         solve_lp(rebuilt, warm=solve_lp(lp))
+    # so are rows appended after the solve, to a copy or to the solved rows
     first = solve_lp(lp)
+    pinned = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
+    pinned.add_row([(0, 1.0), (1, 1.0)], EQ, first.objective)
+    with pytest.raises(ValueError):
+        solve_lp(pinned, warm=first)
+    grown = replace(lp, rows=lp.rows.copy())
+    solved = solve_lp(grown)
+    grown.add_row([(0, 1.0)], LE, 1.0)
+    with pytest.raises(ValueError):
+        solve_lp(grown, warm=solved)
+    # the face of the optimum (1.6, 1.2) is that point: x0 stays below its 2.0
     stage = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
-    stage.add_row([(0, 1.0), (1, 1.0)], EQ, first.objective)
     assert solve_lp(stage, warm=first).objective == pytest.approx(1.6)
     with pytest.raises(ValueError):  # its handle went to the solve above
         solve_lp(stage, warm=first)
