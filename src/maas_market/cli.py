@@ -5,7 +5,8 @@ Subcommands:
 * ``fixtures``        write the built-in example input files
 * ``run``             full pipeline: matching, duals, decomposition,
                       constraint generation, buyer/seller/custom outcomes
-* ``compare``         baseline vs scenario delta report
+* ``compare``         baseline vs scenario delta report; an owner or policy
+                      scenario reuses the baseline matching
 * ``bench``           time lexicographic generation against enumeration
 * ``lemma1``/``lemma2``  closed-form duopoly bounds
 * ``enumerate-paths`` dump every simple path per OD with its deviation cost,
@@ -68,13 +69,16 @@ def _outcome_options(annotations) -> OutcomeOptions:
         subsidies=dict(annotations.subsidies))
 
 
-def run_pipeline(network, demand, annotations, policies=("buyer", "seller")):
+def run_pipeline(network, demand, annotations, policies=("buyer", "seller"),
+                 matching=None):
     """Matching with its duals, decomposition, constraint generation, and
     one outcome vertex per requested policy.  Returns artifacts plus
-    timings."""
+    timings.  A given ``matching``, solved on the same matching inputs
+    (see ``_matching_inputs``), is used as it is."""
     timings = {}
     start = time.perf_counter()
-    matching = solve_matching(network, demand)
+    if matching is None:
+        matching = solve_matching(network, demand)
     timings["matching_msec"] = (time.perf_counter() - start) * 1000
     decomposition = decompose_flows(network, demand, matching)
     start = time.perf_counter()
@@ -167,14 +171,28 @@ def _summary_rows(result):
     return rows
 
 
+def _matching_inputs(network, demand):
+    """Everything ``solve_matching`` reads: the node set, each link's arc,
+    costs and capacity in link order, and the demand.  Owners and policy
+    annotations are not among them."""
+    links = [(link.tail, link.head, link.travel_cost, link.operating_cost,
+              link.capacity) for link in network.links]
+    return network.nodes, links, demand
+
+
 def cmd_compare(args) -> int:
+    """Base and scenario runs and their per-operator deltas.  A scenario
+    that keeps the matching's inputs (owner and policy edits) reuses the
+    base matching, so its generation also reuses the base's memo."""
     network = load_network(args.network)
     demand = load_demand(args.demand)
     scenario = load_scenario(args.scenario)
     base = run_pipeline(network, demand, PolicyAnnotations())
     net2, dem2, ann2 = apply_scenario(network, demand, scenario)
+    same = _matching_inputs(net2, dem2) == _matching_inputs(network, demand)
     varied = run_pipeline(net2, dem2, ann2,
-                          policies=("buyer", "seller", "custom"))
+                          policies=("buyer", "seller", "custom"),
+                          matching=base["matching"] if same else None)
     outdir = FilePath(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     base_rows, varied_rows = _summary_rows(base), _summary_rows(varied)

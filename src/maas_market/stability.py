@@ -40,6 +40,18 @@ sorts links by arc, so the successor lists keep their order, and a search
 that bans a subcoalition skips exactly the arcs its members own, so a merged
 subcoalition's search is, step for step, that of any subcoalition banning
 the same arcs.
+
+The same entry keeps Algorithm 1's finished work.  Its path sets and
+deduplicated stability rows are keyed by the owner tuple (each link's owner,
+in link order), which with the owner-free key fixes them.  Its finished
+``ConstraintSystem`` is keyed by the owner tuple, each link's operating cost
+and the sorted subsidies: everything the covers read beyond the owner-free
+key, operating costs included because omega leaves out those of operated
+links.  A repeated owner assignment with the same cover inputs, such as a
+fixed-fare or objective-mode scenario on the base, gets the very system
+generated before, with the outcome rows its cache holds; a subsidy scenario
+shares the rows and builds only its covers.  Systems are therefore shared
+and must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -105,7 +117,8 @@ class StabilityRow:
 @dataclass
 class ConstraintSystem(Memo):
     """Generation fills a system once, so what its memo derives from it
-    stays valid."""
+    stays valid.  A later generation on the same matching may return the
+    same system, so it is read-only."""
 
     groups: dict                      # od -> OptimalPathSet
     covers: dict                      # operator -> (terms, rhs); terms: [(od, nodes, z_r)]
@@ -350,18 +363,23 @@ def _build_covers(network: Network, activations, path_sets, subsidies=None):
     return covers
 
 
-def _generate(network, demand, matching, decomposition, subsidies,
-              alternatives):
-    """Path sets, covers and raw stability rows.  ``alternatives(network,
-    duals, activations, memo)`` returns the function ``(od, path_set) ->
-    pairs`` that gives each group's alternative paths as ``(nodes, omega)``;
-    ``memo`` is the owner-free memo entry these inputs share."""
+def _owner_free_entry(network, demand, matching, decomposition) -> dict:
+    """The memo entry on ``matching`` that every generation with these
+    inputs, whatever their owners, shares."""
     duals, activations = decomposition.duals, matching.activations
     links = tuple((link.tail, link.head, link.travel_cost,
                    _omega_weight(link, duals, activations))
                   for link in network.links)
-    memo = matching.cached((links, demand.entries,
+    return matching.cached((links, demand.entries,
                             tuple(decomposition.path_flows)), dict)
+
+
+def _generate(network, demand, matching, decomposition, memo, alternatives):
+    """Path sets and raw stability rows.  ``memo`` is the owner-free memo
+    entry these inputs share; ``alternatives(network, duals, activations,
+    memo)`` returns the function ``(od, path_set) -> pairs`` that gives each
+    group's alternative paths as ``(nodes, omega)``."""
+    duals, activations = decomposition.duals, matching.activations
     if "path_sets" in memo:
         path_sets = _relabel(memo["path_sets"], network)
     else:
@@ -384,8 +402,7 @@ def _generate(network, demand, matching, decomposition, subsidies,
             for operators, term in anchors:
                 terms = tuple(term[f] for f in sorted(operators & alt_ops))
                 rows.append(StabilityRow(group=od, terms=terms, bound=bound))
-    covers = _build_covers(network, activations, path_sets, subsidies)
-    return path_sets, covers, rows
+    return path_sets, rows
 
 
 def _relabel(path_sets, network):
@@ -461,12 +478,30 @@ def generate_constraints_algorithm1(
 ) -> ConstraintSystem:
     """Algorithm 1: per group, one alternative per nonempty subcoalition of
     its operators, the cheapest path avoiding that subcoalition; rows over
-    the same variables keep the strongest bound."""
-    path_sets, covers, rows = _generate(network, demand, matching,
-                                        decomposition, subsidies,
-                                        _excluded_paths)
-    return ConstraintSystem(groups=path_sets, covers=covers,
-                            stability_rows=_dedup_rows(rows))
+    the same variables keep the strongest bound.
+
+    A generation whose owners, operating costs and subsidies an earlier one
+    on this matching had returns that system itself; one with only the
+    owners in common shares its path sets and rows and builds its own
+    covers."""
+    memo = _owner_free_entry(network, demand, matching, decomposition)
+    owners = tuple(link.owner for link in network.links)
+    # omega leaves out an operated link's operating cost, which its cover reads
+    key = (owners, tuple(link.operating_cost for link in network.links),
+           tuple(sorted((subsidies or {}).items())))
+    systems = memo.setdefault("systems", {})
+    if key in systems:
+        return systems[key]
+    by_owners = memo.setdefault("rows", {})
+    if owners not in by_owners:
+        path_sets, rows = _generate(network, demand, matching, decomposition,
+                                    memo, _excluded_paths)
+        by_owners[owners] = path_sets, _dedup_rows(rows)
+    path_sets, rows = by_owners[owners]
+    covers = _build_covers(network, matching.activations, path_sets, subsidies)
+    system = systems[key] = ConstraintSystem(groups=path_sets, covers=covers,
+                                             stability_rows=rows)
+    return system
 
 
 def generate_constraints_enumeration(
@@ -487,8 +522,9 @@ def generate_constraints_enumeration(
             (nodes, value)
             for value, nodes in simple_paths(succ, pred, od, path_cap))
 
-    path_sets, covers, rows = _generate(network, demand, matching,
-                                        decomposition, subsidies,
-                                        every_simple_path)
+    memo = _owner_free_entry(network, demand, matching, decomposition)
+    path_sets, rows = _generate(network, demand, matching, decomposition,
+                                memo, every_simple_path)
+    covers = _build_covers(network, matching.activations, path_sets, subsidies)
     return ConstraintSystem(groups=path_sets, covers=covers,
                             stability_rows=sorted(rows, key=_row_order))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from maas_market import dump_demand, dump_network, fig5
+from maas_market import cli
 from maas_market import matching as matching_module
 from maas_market.cli import main, run_pipeline
 from maas_market.randnet import random_instance
@@ -217,6 +218,30 @@ def test_compare_identity_scenario_zero_deltas(tmp_path, fig5_files, capsys):
             assert value == pytest.approx(0.0, abs=1e-6)
     assert (out / "compare.csv").read_text().startswith(
         "policy,operator,metric,base,scenario,delta\n")
+
+
+@pytest.mark.parametrize("edit, solves", [
+    ({"edit": "set_fixed_fare", "operator": 3}, 1),
+    ({"edit": "merge_operators", "sources": [1, 3], "target": 1}, 1),
+    ({"edit": "set_capacity", "tail": 1, "head": 21, "capacity": 300}, 2),
+])
+def test_compare_reuses_the_base_matching(tmp_path, fig5_files, monkeypatch,
+                                          capsys, edit, solves):
+    """An owner or policy scenario keeps every input the matching reads, so
+    ``compare`` solves it once; a capacity edit makes it solve again."""
+    network, demand = fig5_files
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return matching_module.solve_matching(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_matching", counted)
+    scenario = _write(tmp_path / "scenario.json", json.dumps([edit]))
+    code = main(["compare", "--network", network, "--demand", demand,
+                 "--scenario", scenario, "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    assert len(calls) == solves
 
 
 def test_bench_agreement(tmp_path, fig5_files, capsys):

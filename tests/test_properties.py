@@ -10,9 +10,10 @@ from maas_market import (Link, Network, ObjectivePolicy, Scenario,
                          generate_constraints_algorithm1,
                          generate_constraints_enumeration, solve_matching,
                          solve_outcome)
-from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
+from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL, WELFARE_MAX
 from maas_market.randnet import random_instance
-from maas_market.scenario import MergeOperators, SetFixedFare, Subsidy
+from maas_market.scenario import (MergeOperators, ScaleCosts, SetFixedFare,
+                                  SetObjectivePolicy, Subsidy)
 from conftest import pipeline_artifacts
 
 SEEDS = list(range(12))
@@ -221,10 +222,12 @@ def test_merge_all_preserves_nonempty_core(corpus_instance):
     assert check_core_nonempty(merged_system)
 
 
-def _owner_and_policy_scenarios(seed, network):
-    """Seeded scenarios that keep every cost: a merge, an acquisition into
-    another operator, a fixed fare, a subsidy, and a merge followed by a
-    fixed fare."""
+def _owner_and_policy_scenarios(seed, network, activations):
+    """Seeded scenarios that keep the matching's omega: a merge, an
+    acquisition into another operator, a fixed fare, a subsidy, a merge
+    followed by a fixed fare, an objective mode, and a scaling of the
+    operating costs of an operator whose links are all operated, which
+    changes only its cover's right-hand side."""
     rng = random.Random(seed)
     owners = sorted(network.operators - {0})
     costly = [l for l in network.links if l.owner != 0 and l.operating_cost > 0]
@@ -239,6 +242,13 @@ def _owner_and_policy_scenarios(seed, network):
                   (MergeOperators((acquired,), acquirer),),
                   (MergeOperators(merged, merged[0]),
                    SetFixedFare(merged[0], True))]
+    edits.append((SetObjectivePolicy(rng.choice(owners), WELFARE_MAX),))
+    operated = [f for f in owners
+                if all(activations.get(l.arc, 0) >= 0.5
+                       for l in network.operator_links(f))
+                and any(l.operating_cost > 0 for l in network.operator_links(f))]
+    if operated:
+        edits.append((ScaleCosts(rng.choice(operated), 2.0),))
     return [Scenario(edits=e) for e in edits]
 
 
@@ -258,7 +268,8 @@ def test_scenarios_on_one_matching_equal_fresh_generations(reference_instances):
     equal those of a fresh generation byte for byte."""
     for seed, (network, demand, matching, decomposition, _) in \
             enumerate(reference_instances):
-        for scenario in _owner_and_policy_scenarios(seed, network):
+        for scenario in _owner_and_policy_scenarios(
+                seed, network, matching.activations):
             reused, fresh = _on_reused_and_fresh(
                 generate_constraints_algorithm1, network, demand, matching,
                 decomposition, scenario)
@@ -271,7 +282,8 @@ def test_oracle_on_one_matching_equals_fresh_oracle(reference_instances):
     instances = reference_instances[:1] + reference_instances[2:42]
     for seed, (network, demand, matching, decomposition, _) in \
             enumerate(instances):
-        for scenario in _owner_and_policy_scenarios(seed, network):
+        for scenario in _owner_and_policy_scenarios(
+                seed, network, matching.activations):
             reused, fresh = _on_reused_and_fresh(
                 generate_constraints_enumeration, network, demand, matching,
                 decomposition, scenario)

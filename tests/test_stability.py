@@ -22,7 +22,8 @@ from maas_market.errors import (InfeasibleMatchingError, PathCapExceeded,
 from maas_market.network import DUMMY_OPERATOR
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
-from maas_market.scenario import MergeOperators, ScaleTravel, Surcharge
+from maas_market.scenario import (MergeOperators, ScaleTravel, SetFixedFare,
+                                  Subsidy, Surcharge)
 from maas_market.stability import (TIE_TOL, _build_covers, _dijkstra,
                                    _omega_arcs, _omega_weight, _predecessors,
                                    _tree_path,
@@ -418,15 +419,26 @@ def test_owner_edits_reuse_the_matchings_searches(fig5_instance,
     matching = dataclasses.replace(matching)  # a fresh memo
 
     def generate(edit, on=matching):
-        edited, _, _ = apply_scenario(network, demand, Scenario(edits=(edit,)))
+        edited, _, annotations = apply_scenario(network, demand,
+                                                Scenario(edits=(edit,)))
         searches.clear()
-        return generate_constraints_algorithm1(edited, demand, on,
-                                               decomposition)
+        return generate_constraints_algorithm1(
+            edited, demand, on, decomposition, subsidies=annotations.subsidies)
 
+    base = generate_constraints_algorithm1(network, demand, matching,
+                                           decomposition)
     merge = MergeOperators((1, 3), 1)
     first = generate(merge)
     assert searches
-    assert generate(merge) == first and not searches
+    assert generate(merge) is first and not searches
+    # a fixed fare keeps every input of the system: the base comes back
+    assert generate(SetFixedFare(3, True)) is base and not searches
+    # a subsidy keeps the owners, so only the covers are built again
+    subsidized = generate(Subsidy((1, 21), 150.0))
+    assert not searches
+    assert subsidized.groups is base.groups
+    assert subsidized.stability_rows is base.stability_rows
+    assert subsidized.covers[1][1] == base.covers[1][1] - 150.0
     # operators 5 and 6 run no link, so both edits move their links' omega,
     # and 1-5-4 is the cheapest path avoiding operators 1, 3 and 4
     for edit in (ScaleTravel(6, 1.5), Surcharge(5, 10.0)):
