@@ -73,8 +73,8 @@ def run_pipeline(network, demand, annotations, policies=("buyer", "seller"),
                  matching=None):
     """Matching with its duals, decomposition, constraint generation, and
     one outcome vertex per requested policy.  Returns artifacts plus
-    timings.  A given ``matching``, solved on the same matching inputs
-    (see ``_matching_inputs``), is used as it is."""
+    timings.  A given ``matching`` is used as it is; it must have been
+    solved on the same node set, links (owners aside) and demand."""
     timings = {}
     start = time.perf_counter()
     if matching is None:
