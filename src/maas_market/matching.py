@@ -108,9 +108,6 @@ class PathFlowSolution:
     path_flows: list  # [(Path, z_r)]
     duals: dict  # arc -> mu >= 0
 
-    def flows_for(self, od) -> list:
-        return [(p, z) for p, z in self.path_flows if p.group == od]
-
 
 def _flow_model(network: Network, links, balances, linking=None, drop_implied=False):
     """Node-arc incidence model over ``links``, one flow block per commodity.
@@ -128,7 +125,6 @@ def _flow_model(network: Network, links, balances, linking=None, drop_implied=Fa
     joint row.
     """
     num_links, num_blocks = len(links), len(balances)
-    num_flow = num_blocks * num_links
     objective = [link.travel_cost for link in links] * num_blocks
     if linking is not None:
         objective += [link.operating_cost for link in links]
@@ -141,30 +137,32 @@ def _flow_model(network: Network, links, balances, linking=None, drop_implied=Fa
         incidence[position[link.tail]].append((k, 1.0))
         incidence[position[link.head]].append((k, -1.0))
     block = [entry for entries in incidence[:num_rows] for entry in entries]
-    lengths = np.tile([len(entries) for entries in incidence[:num_rows]], num_blocks)
+    lengths = [len(entries) for entries in incidence[:num_rows]] * num_blocks
     offsets = num_links * np.arange(num_blocks)[:, None]  # each block's first column
     rhs = np.zeros((num_blocks, len(nodes)))
     for b, balance in enumerate(balances):
         for node, net_outflow in balance.items():
             rhs[b, position[node]] = net_outflow
-    lp.add_rows(np.concatenate(([0], lengths.cumsum())),
-                (np.array([k for k, _ in block], dtype=np.int64) + offsets).ravel(),
-                np.tile(np.array([v for _, v in block], dtype=float), num_blocks),
-                EQ, rhs[:, :num_rows].ravel())
-    # joint rows: link k's column in every block, then its activation column
+    # joint rows: link k's column in every block, then its activation column,
+    # which sits where a next block's column for link k would
     width = num_blocks if linking is None else num_blocks + 1
-    index = np.empty((num_links, width), dtype=np.int64)
-    index[:, :num_blocks] = np.arange(num_links)[:, None] + offsets.T
-    value = np.ones((num_links, width))
+    joint = np.arange(num_links)[:, None] + num_links * np.arange(width)
+    joint_value = np.ones((num_links, width))
     if linking is None:
         joint_rhs = [link.capacity for link in links]
     else:
-        index[:, num_blocks] = num_flow + np.arange(num_links)
-        value[:, num_blocks] = [-coefficient for coefficient in linking]
-        joint_rhs = np.zeros(num_links)
-    joint_rows = lp.add_rows(width * np.arange(num_links + 1), index.ravel(),
-                             value.ravel(), LE, joint_rhs)
-    return lp, list(joint_rows)
+        joint_value[:, num_blocks] = [-coefficient for coefficient in linking]
+        joint_rhs = [0.0] * num_links
+    # the balance rows, then the joint rows, in one block
+    num_balance = num_blocks * num_rows
+    lp.add_rows(np.cumsum([0] + lengths + [width] * num_links),
+                np.concatenate(((np.array([k for k, _ in block], dtype=np.int64)
+                                 + offsets).ravel(), joint.ravel())),
+                np.concatenate((np.tile([v for _, v in block], num_blocks),
+                                joint_value.ravel())),
+                [EQ] * num_balance + [LE] * num_links,
+                np.concatenate((rhs[:, :num_rows].ravel(), joint_rhs)))
+    return lp, list(range(num_balance, num_balance + num_links))
 
 
 def _activation_milp(lp: LinearProgram, num_links: int) -> MixedIntegerProgram:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import SolveNumericalError
 from .matching import MatchingSolution
 from .solve import EQ, GE, LinearProgram, solve_lp
@@ -115,14 +117,15 @@ def build_outcome_lp(
     lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True,
                        rows=rows.copy())
 
-    # fixed-fare tying: one common price across all paths of a flagged operator
+    # fixed-fare tying: one common price across all paths of a flagged
+    # operator, p_a - p_b = 0 per adjacent pair (a, b) of its price columns
+    pairs = []
     for f in sorted(options.fixed_fare_operators):
         cols = [col for col, _ in revenue_terms.get(f, ())]
-        if len(cols) > 1:
-            pairs = len(cols) - 1  # p_a - p_b = 0 per adjacent pair (a, b)
-            lp.add_rows(range(0, 2 * pairs + 1, 2),
-                        [j for a, b in zip(cols, cols[1:]) for j in (a, b)],
-                        [1.0, -1.0] * pairs, EQ, [0.0] * pairs)
+        pairs += zip(cols, cols[1:])
+    if pairs:
+        lp.add_rows(range(0, 2 * len(pairs) + 1, 2), [j for pair in pairs for j in pair],
+                    [1.0, -1.0] * len(pairs), EQ, [0.0] * len(pairs))
 
     objective, label = _objective_vector(system, policy, u_index, revenue_terms, n)
     lp.objective = objective
@@ -146,36 +149,38 @@ def _columns(system: ConstraintSystem):
 
 
 def _policy_free_rows(system: ConstraintSystem, u_index, p_index):
-    """The surplus equalities, the operator covers and the stability rows:
-    the rows of the outcome LP that no policy or option changes."""
-    lp = LinearProgram(num_vars=len(u_index) + len(p_index), objective=[])
+    """The surplus equalities, the operator covers and the stability rows,
+    in one block: the rows of the outcome LP that no policy or option
+    changes."""
+    start, index, value, rhs = [0], [], [], []
+
+    def add(columns, coefficients, bound):
+        index.extend(columns)
+        value.extend(coefficients)
+        start.append(len(index))
+        rhs.append(bound)
 
     # surplus equalities: u_s + sum_f p_rf = U_s - travel cost, per optimal path
-    _add_unit_rows(lp, EQ, [
-        ([u_index[od]] + [p_index[(od, info.nodes, f)] for f in sorted(info.operators)],
-         pset.utility - info.travel_cost)
-        for od, pset in sorted(system.groups.items()) for info in pset.paths])
+    for od, pset in sorted(system.groups.items()):
+        for info in pset.paths:
+            columns = [u_index[od]] + [p_index[(od, info.nodes, f)]
+                                       for f in sorted(info.operators)]
+            add(columns, [1.0] * len(columns), pset.utility - info.travel_cost)
+    equalities = len(rhs)
 
     # operator cost covers: sum z_r p_rf >= operated cost net of subsidies
     for f in sorted(system.covers):
-        terms, rhs = system.covers[f]
-        coeffs = [(p_index[(od, nodes, f)], z) for od, nodes, z in terms if z > 0]
-        lp.add_row(coeffs, GE, rhs)
+        terms, bound = system.covers[f]
+        positive = [(p_index[(od, nodes, f)], z) for od, nodes, z in terms if z > 0]
+        add([j for j, _ in positive], [z for _, z in positive], bound)
 
-    _add_unit_rows(lp, GE, [
-        ([u_index[row.group]] + [p_index[(row.group, nodes, f)] for nodes, f in row.terms],
-         row.bound)
-        for row in system.stability_rows])
+    for row in system.stability_rows:
+        columns = [u_index[row.group]] + [p_index[(row.group, nodes, f)]
+                                          for nodes, f in row.terms]
+        add(columns, [1.0] * len(columns), row.bound)
+    lp = LinearProgram(num_vars=len(u_index) + len(p_index), objective=[])
+    lp.add_rows(start, index, value, [EQ] * equalities + [GE] * (len(rhs) - equalities), rhs)
     return lp.rows
-
-
-def _add_unit_rows(lp: LinearProgram, sense, rows) -> None:
-    """Append ``rows``, each ``(columns, rhs)`` with every coefficient 1."""
-    start = [0]
-    for columns, _ in rows:
-        start.append(start[-1] + len(columns))
-    lp.add_rows(start, [j for columns, _ in rows for j in columns], [1.0] * start[-1],
-                sense, [rhs for _, rhs in rows])
 
 
 def _objective_vector(system, policy, u_index, revenue_terms, n):
@@ -251,10 +256,10 @@ def _lexicographic_revenue_tiebreak(model, primary):
     """
     result = primary
     for f in sorted(model.system.covers):
-        objective = [0.0] * model.lp.num_vars
-        for c, v in model.revenue_terms.get(f, ()):
-            objective[c] = v
-        if not any(objective):
+        terms = model.revenue_terms.get(f, ())
+        objective = np.zeros(model.lp.num_vars)
+        objective[np.array([c for c, _ in terms], dtype=np.intp)] = [z for _, z in terms]
+        if not objective.any():
             continue
         result = solve_lp(replace(model.lp, objective=objective), warm=result)
         if result.status != "optimal":

@@ -42,6 +42,16 @@ binding ``scipy.optimize._highspy._core._Highs`` (HiGHS 1.12.0 in scipy
 HiGHS gets the model in ``linprog``'s form (see :func:`_highs_handle`) with
 ``linprog``'s options.
 
+A handle lives as long as the result that holds it.  Once dropped, it
+leaves its HiGHS instance in a one-place idle slot if that is empty, and the
+next handle takes the instance from there, clears its model (the options
+stay) and sets the dual simplex again; only when the slot is empty does it
+construct one, which costs much more than clearing it.  A
+cleared instance solves like a new one, bit for bit.  The handle also keeps
+the costs HiGHS holds and which columns and rows the face restrictions have
+fixed, so a warm solve fixes only the columns and rows that are new to the
+face and writes only the costs that differ.
+
 The configuration is fixed: no tolerance, gap or limit is settable.
 Reported duals follow the convention ``dual = d(objective)/d(rhs)`` in the
 problem's own optimization sense.
@@ -66,6 +76,7 @@ LE, EQ, GE = "<=", "=", ">="
 MIP_GAP = 1e-6         # absolute: a node is pruned unless it beats the incumbent by this
 NODE_LIMIT = 200_000   # branch-and-bound children before ResourceLimitExceeded
 FACE_TOL = 1e-9        # a reduced cost or row dual above this (absolute) is nonzero
+PRIMAL_TOL = 1e-7      # HiGHS's primal feasibility tolerance, for LPs it does not see
 
 _LP_STATUS = {HighsModelStatus.kOptimal: "optimal",
               HighsModelStatus.kInfeasible: "infeasible",
@@ -74,12 +85,24 @@ _LP_STATUS = {HighsModelStatus.kOptimal: "optimal",
 
 _SENSES = (LE, EQ, GE)  # a row's sense is stored as its index here
 _LE, _EQ, _GE = range(3)
+_CODES = {sense: code for code, sense in enumerate(_SENSES)}
 
 
 def _sense_index(sense) -> int:
     if sense not in _SENSES:
         raise ValueError(f"unknown row sense {sense!r}")
-    return _SENSES.index(sense)
+    return _CODES[sense]
+
+
+def _sense_codes(sense, count: int) -> np.ndarray:
+    """The index of each of ``count`` rows' sense: ``sense`` is one sense for
+    every row or a sequence of one per row."""
+    if isinstance(sense, str):
+        return np.full(count, _sense_index(sense), dtype=np.int8)
+    codes = np.array([_sense_index(s) for s in sense], dtype=np.int8)
+    if len(codes) != count:
+        raise ValueError(f"{len(codes)} row senses for {count} rows")
+    return codes
 
 
 @dataclass(frozen=True)
@@ -100,9 +123,10 @@ class Rows(Sequence):
 
     The rows are kept as a list of blocks, each five such arrays, that are
     never written once built: ``Rows(rows)`` builds one block from
-    :class:`Row` values and :meth:`extend` adds one.  A :meth:`copy` shares
-    the blocks, and later additions to either side leave the other
-    unchanged; :meth:`shares` tells whether two rows hold the same blocks.
+    :class:`Row` values and each :meth:`LinearProgram.add_rows` call adds
+    one.  A :meth:`copy` shares the blocks, and later additions to either
+    side leave the other unchanged; :meth:`shares` tells whether two rows
+    hold the same blocks.
     """
 
     def __init__(self, rows=()):
@@ -116,11 +140,6 @@ class Rows(Sequence):
                        np.array([v for row in rows for _, v in row.coeffs], dtype=float),
                        np.array([_sense_index(row.sense) for row in rows], dtype=np.int8),
                        np.array([row.rhs for row in rows], dtype=float)))
-
-    def extend(self, start, index, value, sense, rhs) -> None:
-        """Add rows in CSR form, all with ``sense``; keeps the arrays."""
-        code = _sense_index(sense)
-        self._add((start, index, value, np.full(len(rhs), code, dtype=np.int8), rhs))
 
     def _add(self, block) -> None:
         self._blocks.append(block)
@@ -202,17 +221,20 @@ class LinearProgram:
                              [v for _, v in coeffs], sense, [rhs])[0]
 
     def add_rows(self, start, index, value, sense, rhs) -> range:
-        """Append rows in CSR form, all with ``sense``: row ``k`` has the
-        columns ``index[start[k]:start[k + 1]]``, the coefficients ``value``
-        at the same positions and the right-hand side ``rhs[k]``.  Returns
-        the new rows' indices; ValueError, adding nothing, unless every
-        column is in range and every coefficient and rhs finite."""
+        """Append rows in CSR form as one block: row ``k`` has the columns
+        ``index[start[k]:start[k + 1]]``, the coefficients ``value`` at the
+        same positions, the right-hand side ``rhs[k]`` and the sense
+        ``sense``, or ``sense[k]`` when a sequence gives one per row.
+        Returns the new rows' indices; ValueError, adding nothing, unless
+        every column is in range, every coefficient and rhs finite and every
+        sense one of ``LE``, ``EQ`` and ``GE``."""
         # copies: the rows keep these arrays, and the caller may reuse its own
         start, index = np.array(start, dtype=np.int64), np.asarray(index)
         value, rhs = np.array(value, dtype=float), np.array(rhs, dtype=float)
         self._check_rows(start, index, value, rhs)
+        codes = _sense_codes(sense, len(rhs))
         first = len(self.rows)
-        self.rows.extend(start, index.astype(np.int32), value, sense, rhs)
+        self.rows._add((start, index.astype(np.int32), value, codes, rhs))
         return range(first, len(self.rows))
 
     def _check_rows(self, start, index, value, rhs) -> None:
@@ -227,11 +249,6 @@ class LinearProgram:
             raise ValueError("non-finite coefficient")
         if not np.isfinite(rhs).all():
             raise ValueError("non-finite rhs")
-
-    def effective_bounds(self) -> list[tuple[float, float]]:
-        if self.bounds is None:
-            return [(0.0, math.inf)] * self.num_vars
-        return list(self.bounds)
 
 
 @dataclass
@@ -255,22 +272,38 @@ class SolveResult:
     handle: _Handle | None = field(default=None, repr=False, compare=False)
 
 
+# at most one HiGHS instance that no handle holds, for the next handle to take
+_IDLE: list[_Highs] = []
+
+
 @dataclass
 class _Handle:
     """A HiGHS handle holding an LP in ``linprog``'s row form, and that
-    form's map back to the LP: per handle row its LP row and sign flip."""
+    form's map back to the LP: per handle row its LP row and sign flip.
+    It also keeps what the face restrictions have changed so far.  Once
+    dropped, it leaves its instance in the idle slot if that is empty."""
 
     highs: _Highs
     lp_rows: np.ndarray              # LP row index of each handle row
     flips: np.ndarray                # -1 where the handle negated a >= row
+    upper: np.ndarray                # each handle row's upper bound, flips * rhs
     sign: float                      # -1 when the LP maximizes
     rows: Rows                       # the LP rows on the handle, in LP order
     shape: tuple                     # the LP's (num_vars, maximize, bounds)
+    cost: np.ndarray                 # the costs HiGHS holds (it minimizes)
+    fixed: np.ndarray                # columns a restriction fixed, by column
+    equal: np.ndarray                # handle rows held as equalities: = rows, fixed binding rows
+
+    def __del__(self):
+        # at interpreter exit the module's globals may be None already
+        if _IDLE == []:
+            _IDLE.append(self.highs)
 
 
 def _column_bounds(lp: LinearProgram) -> np.ndarray:
-    """``lp.effective_bounds()`` as an (n, 2) array; ValueError unless they
-    are one (lower, upper) pair of numbers per column."""
+    """``lp.bounds`` as an (n, 2) array, (0, inf) per column when ``None``;
+    ValueError unless they are one (lower, upper) pair of numbers per
+    column."""
     if lp.bounds is None:
         return np.column_stack((np.zeros(lp.num_vars), np.full(lp.num_vars, np.inf)))
     try:
@@ -307,22 +340,29 @@ def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
     at = np.arange(start[-1]) + np.repeat(start[order] - firsts, lengths)
     upper = flips * rhs[order]
     sign = -1.0 if lp.maximize else 1.0
-    highs = _Highs()
+    cost = sign * objective
+    try:
+        highs = _IDLE.pop()  # one step, so two threads never take one instance
+    except IndexError:
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+    else:
+        highs.clearModel()  # keeps the options
     highs.setOptionValue("simplex_strategy", 1)  # dual simplex, as linprog sets
-    highs.setOptionValue("output_flag", False)
     # the array form of passModel, row by row: HiGHS stores the matrix by
     # column, each column's rows ascending, as scipy.sparse's CSC form has them
     status = highs.passModel(
         lp.num_vars, len(order), len(at), int(MatrixFormat.kRowwise),
-        int(ObjSense.kMinimize), 0.0, sign * objective,
+        int(ObjSense.kMinimize), 0.0, cost,
         bounds[:, 0], bounds[:, 1], np.where(eq[order], upper, -np.inf), upper,
         firsts, index[at], np.repeat(flips, lengths) * value[at],
         np.zeros(lp.num_vars, dtype=np.int32))  # every column continuous
     if status == HighsStatus.kError:
         raise ValueError("HiGHS rejected the LP: a row lists a column twice "
                          "or one out of range, or a cost or bound is not valid")
-    return _Handle(highs=highs, lp_rows=order, flips=flips, sign=sign,
-                   rows=lp.rows.copy(), shape=(lp.num_vars, lp.maximize, lp.bounds))
+    return _Handle(highs=highs, lp_rows=order, flips=flips, upper=upper, sign=sign,
+                   rows=lp.rows.copy(), shape=(lp.num_vars, lp.maximize, lp.bounds),
+                   cost=cost, fixed=np.zeros(lp.num_vars, dtype=bool), equal=eq[order])
 
 
 def _objective(lp: LinearProgram) -> np.ndarray:
@@ -355,6 +395,11 @@ def _restrict_to_face(lp: LinearProgram, warm: SolveResult) -> _Handle:
     tolerance (1e-7), so no dual the solver counts leaves its column or row
     free to trade away an earlier objective, and above the rounding left on
     zero duals.  1e-7 and 1e-11 gave the same answers.
+
+    Only the columns and rows new to the face and the costs that changed
+    reach HiGHS: a column fixed before and still of nonzero reduced cost is
+    nonbasic, so it sits at its fixed value already.  Values and row duals
+    come from ``warm``; only the reduced costs are read from HiGHS.
     """
     handle = warm.handle
     if handle is None:
@@ -365,18 +410,21 @@ def _restrict_to_face(lp: LinearProgram, warm: SolveResult) -> _Handle:
         raise ValueError("warm start needs the same columns, sense and bounds, "
                          "and the very rows that were solved")
     highs = handle.highs
-    solution = highs.getSolution()
-    cols = np.flatnonzero(np.abs(solution.col_dual) > FACE_TOL).astype(np.int32)
-    value = np.asarray(solution.col_value)[cols]
+    reduced = np.abs(highs.getSolution().col_dual) > FACE_TOL
+    cols = np.flatnonzero(reduced & ~handle.fixed).astype(np.int32)
+    value = warm.x[cols]
     highs.changeColsBounds(len(cols), cols, value, value)
-    sense, rhs = lp.rows.csr()[3:]
-    bound = handle.flips * rhs[handle.lp_rows]  # each handle row's upper bound
-    binding = (np.abs(solution.row_dual) > FACE_TOL) & (sense[handle.lp_rows] != _EQ)
-    for k in np.flatnonzero(binding).tolist():
-        highs.changeRowBounds(k, bound[k], bound[k])
+    handle.fixed[cols] = True
+    binding = np.abs(warm.duals[handle.lp_rows]) > FACE_TOL
+    rows = np.flatnonzero(binding & ~handle.equal)
+    for k, bound in zip(rows.tolist(), handle.upper[rows].tolist()):
+        highs.changeRowBounds(k, bound, bound)
+    handle.equal[rows] = True
     warm.handle = None
-    highs.changeColsCost(lp.num_vars, np.arange(lp.num_vars, dtype=np.int32),
-                         handle.sign * _objective(lp))
+    cost = handle.sign * _objective(lp)
+    moved = np.flatnonzero(cost != handle.cost).astype(np.int32)
+    highs.changeColsCost(len(moved), moved, cost[moved])
+    handle.cost = cost
     highs.setOptionValue("simplex_strategy", 4)  # primal simplex
     return handle
 
@@ -401,6 +449,12 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
     restricted to the face.  A result can warm-start one later solve only.
     """
     if lp.num_vars == 0 and warm is None:
+        # HiGHS rejects a model without columns.  Each row reads 0 sense rhs,
+        # which a <= row misses by -rhs, a >= row by rhs and an = row by |rhs|
+        sense, rhs = lp.rows.csr()[3:]
+        miss = np.where(sense == _EQ, np.abs(rhs), np.where(sense == _LE, -rhs, rhs))
+        if (miss > PRIMAL_TOL).any():
+            return SolveResult(status="infeasible")
         return SolveResult(status="optimal", x=np.zeros(0), objective=0.0,
                            duals=np.zeros(len(lp.rows)))
     handle = (_highs_handle(lp, _column_bounds(lp)) if warm is None
@@ -412,7 +466,7 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
     solution = highs.getSolution()
     duals = _row_duals(handle, solution, len(lp.rows))
     return SolveResult(status="optimal", x=np.array(solution.col_value),
-                       objective=handle.sign * highs.getInfo().objective_function_value,
+                       objective=handle.sign * highs.getObjectiveValue(),
                        duals=duals, handle=handle)
 
 
@@ -446,7 +500,7 @@ def solve_milp(mip: MixedIntegerProgram, root_fixings=None) -> SolveResult:
 
     def solved():
         """The handle's optimum as (objective, x, basis)."""
-        return (highs.getInfo().objective_function_value,
+        return (highs.getObjectiveValue(),
                 np.array(highs.getSolution().col_value), highs.getBasis())
 
     def relax(fixings, basis=None):

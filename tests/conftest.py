@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from maas_market import (DemandEntry, DemandTable, Link, Network,
@@ -13,6 +15,19 @@ def pipeline_artifacts(network, demand, subsidies=None):
     system = generate_constraints_algorithm1(network, demand, matching,
                                              decomposition, subsidies=subsidies)
     return matching, matching.duals, decomposition, system
+
+
+def effective_bounds(lp):
+    """``lp``'s (lower, upper) pair per column as a list, (0, inf) each
+    when ``lp.bounds`` is None."""
+    if lp.bounds is None:
+        return [(0.0, math.inf)] * lp.num_vars
+    return list(lp.bounds)
+
+
+def flows_for(decomposition, od):
+    """The ``(path, z)`` pairs of ``decomposition`` that serve ``od``."""
+    return [(p, z) for p, z in decomposition.path_flows if p.group == od]
 
 
 def float_capacity_shortfall():

@@ -24,7 +24,7 @@ from maas_market.randnet import (coop_compete_network, random_coop_compete,
                                  random_instance, random_small_vs_large,
                                  small_vs_large_network)
 from maas_market.solve import solve_lp
-from conftest import pipeline_artifacts
+from conftest import flows_for, pipeline_artifacts
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -560,7 +560,7 @@ def test_criterion6_invariants(corpus):
     def decomposition_complete(seed, network, demand, artifacts):
         matching, decomposition = artifacts[0], artifacts[2]
         for entry in demand.entries:
-            flows = decomposition.flows_for(entry.od)
+            flows = flows_for(decomposition, entry.od)
             if abs(sum(z for _, z in flows) - entry.demand) > 1e-5:
                 return f"total for {entry.od}"
             rebuilt = {}

@@ -81,6 +81,7 @@ def _record(monkeypatch):
         return handle
 
     monkeypatch.setattr(solve, "_Highs", Recorded)
+    monkeypatch.setattr(solve, "_IDLE", [])
     monkeypatch.setattr(solve, "_highs_handle", recorded_handle)
     monkeypatch.setattr(solve, "_restrict_to_face", recorded_restrict)
     return cold, warm, added

@@ -18,6 +18,7 @@ from maas_market.matching import (_build_origin_aggregated, _flow_model,
 from maas_market.randnet import random_instance
 from maas_market.scenario import Scenario, SetCapacity, apply_scenario
 from maas_market.solve import GE, LE
+from conftest import effective_bounds
 
 INSTANCES = [("fig5", *fig5())] + [(f"seed {s}", *random_instance(s)) for s in range(50)]
 
@@ -58,7 +59,7 @@ def _scipy_milp(mip):
     lower = [row.rhs if row.sense != LE else -np.inf for row in lp.rows]
     upper = [row.rhs if row.sense != GE else np.inf for row in lp.rows]
     binaries = sorted(mip.binary_vars)
-    bounds = np.array(lp.effective_bounds(), dtype=float)
+    bounds = np.array(effective_bounds(lp), dtype=float)
     bounds[binaries] = np.clip(bounds[binaries], 0.0, 1.0)
     integrality = np.zeros(lp.num_vars)
     integrality[binaries] = 1
@@ -92,7 +93,7 @@ def test_flow_lp_agrees_with_literal_model():
         # the literal per-OD model, activations fixed through their bounds
         lp = build_mcnd(network, demand).lp
         num_links = len(network.links)
-        bounds = lp.effective_bounds()
+        bounds = effective_bounds(lp)
         for k, link in enumerate(network.links):
             y = float(matching.activations[link.arc])
             bounds[lp.num_vars - num_links + k] = (y, y)
@@ -145,7 +146,7 @@ def test_milp_leaves_out_one_implied_row_per_origin():
 
 def _root(mip):
     """The solved root relaxation of ``mip``: its binaries in [0, 1]."""
-    bounds = mip.lp.effective_bounds()
+    bounds = effective_bounds(mip.lp)
     for i in mip.binary_vars:
         bounds[i] = (0.0, 1.0)
     return solve_lp(replace(mip.lp, bounds=bounds))

@@ -6,8 +6,8 @@ import pytest
 from maas_market import (DemandEntry, DemandTable, Link, Network,
                          ObjectivePolicy, OutcomeOptions, Scenario,
                          apply_scenario, build_outcome_lp, build_sioux_falls,
-                         check_core_nonempty, outcomes, report, solve_lp,
-                         solve_outcome)
+                         check_core_nonempty, outcomes, report, solve,
+                         solve_lp, solve_outcome)
 from maas_market.errors import SolveNumericalError
 from maas_market.outcomes import (BUYER_OPTIMAL, REVENUE_MAX, SELLER_OPTIMAL,
                                   WELFARE_MAX)
@@ -191,6 +191,51 @@ def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
             assert again.prices == got.prices
             solved += 1
     assert solved > 300
+
+
+def test_incremental_face_restriction_equals_the_full_one(reference_instances,
+                                                         monkeypatch):
+    # each warm stage changes only what moved; the handle must end up where
+    # re-fixing every column with a nonzero reduced cost, fixing every
+    # binding inequality row and writing every cost would put it
+    row_changes = []
+
+    class Recorded(solve._Highs):
+        def changeRowBounds(self, row, lower, upper):
+            row_changes.append(row)
+            return super().changeRowBounds(row, lower, upper)
+
+    monkeypatch.setattr(solve, "_Highs", Recorded)
+    monkeypatch.setattr(solve, "_IDLE", [])
+    restrict, stages = solve._restrict_to_face, []
+
+    def checked(lp, warm):
+        handle = warm.handle
+        highs, solution = handle.highs, handle.highs.getSolution()
+        want = highs.getLp()
+        col_lower, col_upper = np.array(want.col_lower_), np.array(want.col_upper_)
+        row_lower, row_upper = np.array(want.row_lower_), np.array(want.row_upper_)
+        cols = np.abs(solution.col_dual) > solve.FACE_TOL
+        col_lower[cols] = col_upper[cols] = np.array(solution.col_value)[cols]
+        sense = lp.rows.csr()[3][handle.lp_rows]
+        rows = (np.abs(solution.row_dual) > solve.FACE_TOL) & (sense != solve._EQ)
+        row_lower[rows] = row_upper[rows]
+        assert restrict(lp, warm) is handle
+        got = highs.getLp()
+        for name, array in (("col_lower_", col_lower), ("col_upper_", col_upper),
+                            ("row_lower_", row_lower), ("row_upper_", row_upper),
+                            ("col_cost_", handle.sign * np.asarray(lp.objective))):
+            np.testing.assert_array_equal(getattr(got, name), array, err_msg=name)
+        stages.append(rows.sum())
+        return handle
+
+    monkeypatch.setattr(solve, "_restrict_to_face", checked)
+    for network, _, matching, _, system in reference_instances[:2]:  # fig5, Sioux Falls
+        for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
+            row_changes.clear()
+            assert _vertex(system, mode, matching=matching, network=network).status == "optimal"
+            assert len(row_changes) == len(set(row_changes)), mode
+    assert len(stages) >= 8 and sum(stages) > 0
 
 
 def test_split_network_rail_acquisition_vertex():

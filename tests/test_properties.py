@@ -14,7 +14,7 @@ from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL, WELFARE_MAX
 from maas_market.randnet import random_instance
 from maas_market.scenario import (MergeOperators, ScaleCosts, SetFixedFare,
                                   SetObjectivePolicy, Subsidy)
-from conftest import pipeline_artifacts
+from conftest import flows_for, pipeline_artifacts
 
 SEEDS = list(range(12))
 
@@ -51,7 +51,7 @@ def test_complementary_slackness(corpus_instance):
 def test_decomposition_completeness(corpus_instance):
     _, network, demand, (matching, _, decomposition, _) = corpus_instance
     for entry in demand.entries:
-        flows = decomposition.flows_for(entry.od)
+        flows = flows_for(decomposition, entry.od)
         assert sum(z for _, z in flows) == pytest.approx(entry.demand,
                                                          abs=1e-5)
         rebuilt = {}

@@ -16,6 +16,7 @@ from maas_market import (LinearProgram, MixedIntegerProgram, solve, solve_lp,
                          solve_milp)
 from maas_market.errors import ResourceLimitExceeded
 from maas_market.solve import EQ, GE, LE, Row
+from conftest import effective_bounds
 
 
 def test_trivial_lp_with_dual():
@@ -53,6 +54,30 @@ def test_infeasible_and_unbounded_status():
     assert solve_lp(lp).status == "infeasible"
     lp2 = LinearProgram(num_vars=1, objective=[1.0], maximize=True)
     assert solve_lp(lp2).status == "unbounded"
+
+
+@pytest.mark.parametrize("sense, feasible, infeasible",
+                         [(LE, 1.5, -1.5), (GE, -1.5, 1.5), (EQ, 0.0, 1.5)])
+def test_rows_without_columns_are_checked(sense, feasible, infeasible):
+    # each row reads 0 sense rhs, with or without columns in the LP
+    for rhs, status in ((feasible, "optimal"), (infeasible, "infeasible")):
+        for num_vars in (0, 1):
+            lp = LinearProgram(num_vars=num_vars, objective=[0.0] * num_vars)
+            lp.add_rows([0, 0], [], [], sense, [rhs])
+            assert solve_lp(lp).status == status, (num_vars, rhs)
+
+
+def test_rows_take_one_sense_each():
+    lp = LinearProgram(num_vars=2, objective=[1.0, 1.0])
+    assert list(lp.add_rows([0, 1, 2, 4], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0],
+                            [GE, LE, EQ], [1.0, 3.0, 2.5])) == [0, 1, 2]
+    assert lp.rows == [Row([(0, 1.0)], GE, 1.0), Row([(1, 1.0)], LE, 3.0),
+                       Row([(0, 1.0), (1, 1.0)], EQ, 2.5)]
+    for senses in ([GE, LE], [GE, LE, "=="], GE + LE + EQ):
+        with pytest.raises(ValueError):
+            lp.add_rows([0, 1, 2, 4], [0, 1, 0, 1], [1.0] * 4, senses, [1.0, 3.0, 2.5])
+    assert len(lp.rows) == 3
+    assert solve_lp(lp).objective == pytest.approx(2.5)
 
 
 def _random_lp(rng):
@@ -96,7 +121,7 @@ def _linprog_reference(lp):
                   b_ub=[f * lp.rows[k].rhs for k, f in ub] if ub else None,
                   A_eq=dense(eq, [1.0] * len(eq)) if eq else None,
                   b_eq=[lp.rows[k].rhs for k in eq] if eq else None,
-                  bounds=lp.effective_bounds(), method="highs")
+                  bounds=effective_bounds(lp), method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     if status != "optimal":
         return status, None, None, None
@@ -142,7 +167,7 @@ def test_handle_keeps_linprog_row_form():
         lp.add_row([(1, 3.0)], LE, 5.0)
         lp.add_row([(1, 1.0), (2, 1.0)], EQ, 3.0)
         lp.add_row([(2, -1.0)], GE, -6.0)
-        handle = solve._highs_handle(lp, np.array(lp.effective_bounds(), dtype=float))
+        handle = solve._highs_handle(lp, np.array(effective_bounds(lp), dtype=float))
         model = handle.highs.getLp()
         A = np.zeros((model.num_row_, model.num_col_))
         start, index, value = (model.a_matrix_.start_, model.a_matrix_.index_,
@@ -292,7 +317,7 @@ def _assert_certified(lp, result, tol=1e-7):
             assert abs(gap) <= tol, k
         for j, v in row.coeffs:
             reduced[j] -= y[k] * v
-    for j, (lower, upper) in enumerate(lp.effective_bounds()):
+    for j, (lower, upper) in enumerate(effective_bounds(lp)):
         assert lower - tol <= x[j] <= upper + tol
         if x[j] > lower + tol:
             assert reduced[j] >= -tol, j
@@ -305,7 +330,7 @@ def _assert_feasible(lp, x, tol=1e-7):
     for k, row in enumerate(lp.rows):
         gap = row.rhs - sum(v * x[j] for j, v in row.coeffs)
         assert {LE: gap >= -tol, GE: gap <= tol, EQ: abs(gap) <= tol}[row.sense], k
-    for j, (lower, upper) in enumerate(lp.effective_bounds()):
+    for j, (lower, upper) in enumerate(effective_bounds(lp)):
         assert lower - tol <= x[j] <= upper + tol, j
 
 
@@ -378,6 +403,98 @@ def test_warm_solve_rejects_another_model():
     infeasible.add_row([(0, 1.0)], LE, -1.0)
     with pytest.raises(ValueError):
         solve_lp(infeasible, warm=solve_lp(infeasible))
+
+
+def _warm_chain(rng):
+    """Solve a random LP and two warm stages after it, dropping every result."""
+    result = None
+    while result is None or result.status != "optimal":
+        lp = _random_lp(rng)
+        result = solve_lp(lp)
+    for _ in range(2):
+        objective = [rng.uniform(-3, 3) for _ in range(lp.num_vars)]
+        result = solve_lp(replace(lp, objective=objective), warm=result)
+        if result.status != "optimal":
+            break
+
+
+def _infeasible_solve():
+    lp = LinearProgram(num_vars=2, objective=[1.0, 1.0])
+    lp.add_row([(0, 1.0), (1, 1.0)], GE, 3.0)
+    lp.add_row([(0, 1.0)], LE, 1.0)
+    lp.add_row([(1, 1.0)], LE, 1.0)
+    assert solve_lp(lp).status == "infeasible"
+
+
+def test_a_reused_instance_solves_like_a_fresh_one(monkeypatch):
+    # a dropped handle leaves its instance in the idle slot; the next handle
+    # clears its model and must solve as on a new instance, bit for bit
+    rng = random.Random(31)
+    chained = 0
+    for _ in range(50):
+        lp = _random_lp(rng)
+        monkeypatch.setattr(solve, "_IDLE", [])
+        fresh = solve_lp(lp)
+        for leave in (lambda: _warm_chain(rng), _infeasible_solve):
+            reused = None  # its handle goes to the slot before this one
+            slot = []
+            monkeypatch.setattr(solve, "_IDLE", slot)
+            leave()
+            [used] = slot
+            chained += used.getOptionValue("simplex_strategy")[1] == 4
+            reused = solve_lp(lp)
+            assert reused.status == fresh.status
+            if fresh.status != "optimal":
+                assert slot == [used]
+                continue
+            assert reused.handle.highs is used and slot == []
+            assert reused.objective == fresh.objective
+            assert reused.x.tobytes() == fresh.x.tobytes()
+            assert reused.duals.tobytes() == fresh.duals.tobytes()
+    assert chained >= 40  # the warm stages left the primal simplex set
+
+
+def test_the_idle_slot_holds_one_instance(monkeypatch):
+    slot = []
+    monkeypatch.setattr(solve, "_IDLE", slot)
+    lp = LinearProgram(num_vars=2, objective=[1.0, 1.0], maximize=True)
+    lp.add_row([(0, 1.0), (1, 2.0)], LE, 4.0)
+    results = [solve_lp(lp) for _ in range(4)]
+    assert slot == []  # each result holds its handle
+    instances = {id(result.handle.highs) for result in results}
+    assert len(instances) == 4
+    del results
+    assert len(slot) == 1
+    mip, *_ = _random_fixed_charge(3)
+    assert solve_milp(mip).status == "optimal"
+    assert len(slot) == 1
+    # a warm stage takes the handle of its result, and a taken handle is held
+    first = solve_lp(lp)
+    assert slot == []
+    second = solve_lp(replace(lp, objective=[1.0, 0.0]), warm=first)
+    assert first.handle is None and second.handle is not None and slot == []
+    del first, second
+    assert len(slot) == 1
+
+
+def test_exit_while_holding_results_is_silent():
+    # handles dropped while the interpreter tears its modules down must not
+    # reach for the idle slot's module global
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(maas_market.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("from maas_market import LinearProgram, fig5, solve_lp, solve_matching\n"
+            "lp = LinearProgram(num_vars=1, objective=[1.0], maximize=True)\n"
+            "lp.add_row([(0, 1.0)], '<=', 5.0)\n"
+            "held = [solve_lp(lp), solve_lp(lp)]\n"
+            "held.append(held)  # a cycle, freed by the collector at exit\n"
+            "matching = solve_matching(*fig5())\n"
+            "print(held[0].objective)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout == "5.0\n"
+    assert proc.stderr == ""
 
 
 def test_strong_duality_and_slackness():
@@ -461,7 +578,7 @@ def test_fixed_charge_matches_enumeration():
 
 def _root_relaxation(mip):
     """The root LP of ``mip``: its binaries relaxed to [0, 1]."""
-    bounds = mip.lp.effective_bounds()
+    bounds = effective_bounds(mip.lp)
     for i in mip.binary_vars:
         bounds[i] = (max(bounds[i][0], 0.0), min(bounds[i][1], 1.0))
     return replace(mip.lp, bounds=bounds)
@@ -529,6 +646,7 @@ def test_bundled_passes_one_highs_model(monkeypatch):
             return super().passModel(*model)
 
     monkeypatch.setattr(solve, "_Highs", Counted)
+    monkeypatch.setattr(solve, "_IDLE", [])
     mip, n_bin, caps, demand = _random_fixed_charge(3)
     expected, pattern = _brute_force(mip, n_bin, caps, demand)
     result = solve_milp(mip)
