@@ -12,13 +12,12 @@ from .closedform import (CoopCompeteInstance, SmallVsLargeInstance,
 from .errors import (InfeasibleMatchingError, MaasMarketError,
                      ResourceLimitExceeded, ScenarioError, ValidationError)
 from .fixtures import build_sioux_falls, fig5
-from .matching import (MatchingSolution, Path, PathFlowSolution, build_mcnd,
+from .matching import (MatchingSolution, Path, PathFlowSolution,
                        decompose_flows, extract_duals, solve_matching)
 from .network import (DemandEntry, DemandTable, Link, Network, dump_demand,
                       dump_network, load_demand, load_network)
 from .outcomes import (ObjectivePolicy, OutcomeOptions, StableOutcome,
-                       build_outcome_lp, check_core_nonempty, report,
-                       solve_outcome)
+                       build_outcome_lp, report, solve_outcome)
 from .scenario import PolicyAnnotations, Scenario, apply_scenario, load_scenario
 from .solve import (LinearProgram, MixedIntegerProgram, SolveResult, solve_lp,
                     solve_milp)

@@ -4,8 +4,9 @@ Both settings live on a line network.  The first has an operator pair that
 can either cooperate on a two-leg path or let one of them compete alone on a
 direct link; the bound is a floor on the second leg's stable price.  The
 second pits a small operator against a larger one that owns a parallel
-segment; the bound is a ceiling on the small operator's stable price.  These
-serve as independent oracles for the general pipeline.
+segment; the bound is a ceiling on the small operator's stable price.  The
+CLI's ``lemma1`` and ``lemma2`` print them, and the tests use them as
+independent oracles for the general pipeline on instances they build.
 """
 
 from __future__ import annotations
@@ -54,18 +55,17 @@ class SmallVsLargeInstance:
             raise ValidationError("all fields must be non-negative")
 
 
-def lemma1_lower_bound(inst: CoopCompeteInstance, clamp: bool = False) -> float:
+def lemma1_lower_bound(inst: CoopCompeteInstance) -> float:
     """Floor on the second-leg operator's stable price when cooperation wins.
 
     Raw value; may be negative, in which case the non-negative price domain
-    makes it vacuous (``clamp=True`` applies the max with zero).
+    makes it vacuous.
     """
     if not inst.cooperation_optimal():
         raise ValidationError(
             "cooperation is not optimal: the bound does not apply")
-    raw = ((inst.c12 + inst.c23) / inst.d
-           - inst.t13 - inst.c13 + inst.t12 + inst.t23)
-    return max(0.0, raw) if clamp else raw
+    return ((inst.c12 + inst.c23) / inst.d
+            - inst.t13 - inst.c13 + inst.t12 + inst.t23)
 
 
 def lemma2_upper_bound(inst: SmallVsLargeInstance) -> float:

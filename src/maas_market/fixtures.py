@@ -9,6 +9,7 @@ rail layer (nodes offset by 100) joined by platform-owned transfer links.
 from __future__ import annotations
 
 from ._sioux_falls_data import LINKS, OD_DEMAND_X100, TRANSFER_LINKS
+from .errors import ValidationError
 from .network import DemandEntry, DemandTable, Link, Network
 
 BIG_CAPACITY = 1_000_000.0
@@ -66,7 +67,7 @@ def build_sioux_falls(
     large-scale run is only feasible with capacities scaled up (see tests).
     """
     if transfer_cost < 0:
-        raise ValueError("transfer_cost must be non-negative")
+        raise ValidationError("transfer_cost must be non-negative")
     links = [
         Link(tail, head, travel_cost=cost, operating_cost=cost,
              capacity=capacity * capacity_scale, owner=_owner(tail, head))

@@ -29,9 +29,10 @@ capacity rows.  One lexicographic walk per origin splits its
 flow into paths; summed per OD they give the per-OD flows, and merged per OD
 they are the canonical path decomposition.
 
-The MILP, the flow LP and the literal per-commodity model come from one
-node-arc incidence builder, :func:`_flow_model`, which lays one block's
-incidence pattern out once and repeats it per block with numpy.  Each
+The MILP and the flow LP come from one node-arc incidence builder,
+:func:`_flow_model`, which lays one block's incidence pattern out once and
+repeats it per block with numpy; the literal per-commodity model, which the
+tests compare these against, lives in the tests and uses it too.  Each
 block's balance rows sum to zero, so one of them is implied: the MILP
 leaves out the largest node's row of every block, which HiGHS's presolve
 would otherwise find and remove on each solve.  The flow LP keeps every
@@ -165,19 +166,6 @@ def _flow_model(network: Network, links, balances, linking=None, drop_implied=Fa
     return lp, list(range(num_balance, num_balance + num_links))
 
 
-def _activation_milp(lp: LinearProgram, num_links: int) -> MixedIntegerProgram:
-    y_offset = lp.num_vars - num_links
-    return MixedIntegerProgram(lp=lp, binary_vars=frozenset(range(y_offset, lp.num_vars)))
-
-
-def build_mcnd(network: Network, demand: DemandTable) -> MixedIntegerProgram:
-    """Literal per-commodity model: |A|*|S| flow variables plus |A| binaries."""
-    balances = [{e.origin: e.demand, e.destination: -e.demand} for e in demand.entries]
-    lp, _ = _flow_model(network, network.links, balances,
-                        linking=[link.capacity for link in network.links])
-    return _activation_milp(lp, len(network.links))
-
-
 def _origin_balances(demand: DemandTable):
     """Origins in order, and each origin's net outflow per node."""
     balances = {}
@@ -201,7 +189,8 @@ def _build_origin_aggregated(network: Network, demand: DemandTable) -> MixedInte
     _, balances = _origin_balances(demand)
     lp, _ = _flow_model(network, network.links, balances,
                         linking=_linking(network, demand), drop_implied=True)
-    return _activation_milp(lp, len(network.links))
+    y_offset = lp.num_vars - len(network.links)
+    return MixedIntegerProgram(lp=lp, binary_vars=frozenset(range(y_offset, lp.num_vars)))
 
 
 def _linking(network: Network, demand: DemandTable):

@@ -121,10 +121,6 @@ class DemandTable:
                 raise ValidationError(f"duplicate OD pair {entry.od}")
             seen.add(entry.od)
 
-    @cached_property
-    def by_od(self) -> dict[tuple[int, int], DemandEntry]:
-        return {entry.od: entry for entry in self.entries}
-
     @property
     def ods(self) -> list[tuple[int, int]]:
         return [entry.od for entry in self.entries]

@@ -210,15 +210,6 @@ def _objective_vector(system, policy, u_index, revenue_terms, n):
     return obj, label
 
 
-def check_core_nonempty(system: ConstraintSystem,
-                        options: OutcomeOptions = OutcomeOptions()) -> bool:
-    """Phase-1 feasibility of the full feasibility+stability system."""
-    policy = ObjectivePolicy(global_mode=BUYER_OPTIMAL)
-    model = build_outcome_lp(system, policy, options)
-    model.lp.objective = [0.0] * model.lp.num_vars
-    return solve_lp(model.lp).status == "optimal"
-
-
 def solve_outcome(
     model: OutcomeModel,
     matching: MatchingSolution | None = None,

@@ -224,6 +224,15 @@ def _apply_edit(network, annotations, edit):
 _EDIT_PARSERS = {}
 
 
+def _id(value) -> int:
+    """A node or operator id read from JSON: an integer, an integral float
+    or a string ``int()`` reads; ValueError for a boolean or any other
+    number, which ``int()`` would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer id")
+    return int(value)
+
+
 def _parser(name):
     def wrap(fn):
         _EDIT_PARSERS[name] = fn
@@ -233,65 +242,67 @@ def _parser(name):
 
 @_parser("set_capacity")
 def _(obj):
-    return SetCapacity(arc=(int(obj["tail"]), int(obj["head"])),
+    return SetCapacity(arc=(_id(obj["tail"]), _id(obj["head"])),
                        capacity=float(obj["capacity"]))
 
 
 @_parser("scale_costs")
 def _(obj):
-    return ScaleCosts(operator=int(obj["operator"]), factor=float(obj["factor"]))
+    return ScaleCosts(operator=_id(obj["operator"]), factor=float(obj["factor"]))
 
 
 @_parser("scale_travel")
 def _(obj):
     operator = obj.get("operator")
-    return ScaleTravel(operator=None if operator is None else int(operator),
+    return ScaleTravel(operator=None if operator is None else _id(operator),
                        factor=float(obj["factor"]))
 
 
 @_parser("surcharge")
 def _(obj):
-    return Surcharge(operator=int(obj["operator"]), delta=float(obj["delta"]))
+    return Surcharge(operator=_id(obj["operator"]), delta=float(obj["delta"]))
 
 
 @_parser("subsidy")
 def _(obj):
-    return Subsidy(arc=(int(obj["tail"]), int(obj["head"])),
+    return Subsidy(arc=(_id(obj["tail"]), _id(obj["head"])),
                    gamma=float(obj["gamma"]))
 
 
 @_parser("add_links")
 def _(obj):
     links = tuple(
-        Link(tail=int(l["tail"]), head=int(l["head"]),
+        Link(tail=_id(l["tail"]), head=_id(l["head"]),
              travel_cost=float(l["travel_cost"]),
              operating_cost=float(l["operating_cost"]),
-             capacity=float(l["capacity"]), owner=int(l["owner"]))
+             capacity=float(l["capacity"]), owner=_id(l["owner"]))
         for l in obj["links"])
     return AddLinks(links=links)
 
 
 @_parser("remove_links")
 def _(obj):
-    return RemoveLinks(arcs=tuple((int(a["tail"]), int(a["head"]))
+    return RemoveLinks(arcs=tuple((_id(a["tail"]), _id(a["head"]))
                                   for a in obj["links"]))
 
 
 @_parser("merge_operators")
 def _(obj):
-    return MergeOperators(sources=tuple(int(f) for f in obj["sources"]),
-                          target=int(obj["target"]))
+    return MergeOperators(sources=tuple(_id(f) for f in obj["sources"]),
+                          target=_id(obj["target"]))
 
 
 @_parser("set_objective_policy")
 def _(obj):
-    return SetObjectivePolicy(operator=int(obj["operator"]), mode=str(obj["mode"]))
+    return SetObjectivePolicy(operator=_id(obj["operator"]), mode=str(obj["mode"]))
 
 
 @_parser("set_fixed_fare")
 def _(obj):
-    return SetFixedFare(operator=int(obj["operator"]),
-                        flag=bool(obj.get("flag", True)))
+    flag = obj.get("flag", True)
+    if not isinstance(flag, bool):
+        raise ValueError(f"flag {flag!r} is not a boolean")
+    return SetFixedFare(operator=_id(obj["operator"]), flag=flag)
 
 
 def load_scenario(source) -> Scenario:

@@ -1,8 +1,8 @@
 """Exact LP/MILP layer with dual extraction.
 
 An LP keeps its rows as CSR arrays (:class:`Rows`) from the model builders
-to HiGHS: builders append whole blocks of rows with
-:meth:`LinearProgram.add_rows`, which checks every row, the handle builder
+to HiGHS.  Rows are built only through :meth:`LinearProgram.add_rows`, which
+appends a whole block and checks every row of it, and the handle builder
 reorders them into ``linprog``'s form with numpy, and HiGHS takes them row
 by row through the array form of ``passModel`` and stores them by column
 itself.  No model passes through ``scipy.sparse`` or per-coefficient Python
@@ -60,7 +60,6 @@ problem's own optimization sense.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -122,24 +121,16 @@ class Rows(Sequence):
     :class:`Row` values.
 
     The rows are kept as a list of blocks, each five such arrays, that are
-    never written once built: ``Rows(rows)`` builds one block from
-    :class:`Row` values and each :meth:`LinearProgram.add_rows` call adds
+    never written once built: each :meth:`LinearProgram.add_rows` call adds
     one.  A :meth:`copy` shares the blocks, and later additions to either
     side leave the other unchanged; :meth:`shares` tells whether two rows
     hold the same blocks.
     """
 
-    def __init__(self, rows=()):
+    def __init__(self):
         self._blocks = []
         self._count = 0      # rows in the blocks
         self._merged = None  # the blocks as one, once csr() has built it
-        rows = list(rows)
-        if rows:
-            self._add((np.array([0, *itertools.accumulate(len(row.coeffs) for row in rows)]),
-                       np.array([j for row in rows for j, _ in row.coeffs], dtype=np.int32),
-                       np.array([v for row in rows for _, v in row.coeffs], dtype=float),
-                       np.array([_sense_index(row.sense) for row in rows], dtype=np.int8),
-                       np.array([row.rhs for row in rows], dtype=float)))
 
     def _add(self, block) -> None:
         self._blocks.append(block)
@@ -175,14 +166,6 @@ class Rows(Sequence):
         return Row(list(zip(index[a:b].tolist(), value[a:b].tolist())),
                    _SENSES[sense[k]], float(rhs[k]))
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"Rows({list(self)!r})"
-
 
 def _merge(blocks):
     """One block of CSR arrays holding ``blocks`` in order."""
@@ -203,16 +186,14 @@ class LinearProgram:
     num_vars: int
     objective: list[float]
     maximize: bool = False
-    # any sequence of Row is taken into a Rows of its own
+    # empty, or the copy() of another LP's rows; added through add_rows
     rows: Rows = field(default_factory=Rows)
     # per-variable (lower, upper) numbers, +-inf for none; None: all (0, +inf)
     bounds: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
         if not isinstance(self.rows, Rows):
-            self.rows = Rows(self.rows)
-            start, index, value, _, rhs = self.rows.csr()
-            self._check_rows(start, index, value, rhs)
+            raise TypeError("rows must be a Rows; add rows through add_rows")
 
     def add_row(self, coeffs, sense, rhs) -> int:
         """Append the row ``sum(v * x[j] for j, v in coeffs) sense rhs``
@@ -231,13 +212,6 @@ class LinearProgram:
         # copies: the rows keep these arrays, and the caller may reuse its own
         start, index = np.array(start, dtype=np.int64), np.asarray(index)
         value, rhs = np.array(value, dtype=float), np.array(rhs, dtype=float)
-        self._check_rows(start, index, value, rhs)
-        codes = _sense_codes(sense, len(rhs))
-        first = len(self.rows)
-        self.rows._add((start, index.astype(np.int32), value, codes, rhs))
-        return range(first, len(self.rows))
-
-    def _check_rows(self, start, index, value, rhs) -> None:
         if (any(a.ndim != 1 for a in (start, index, value, rhs))
                 or len(start) != len(rhs) + 1 or start[0] != 0
                 or start[-1] != len(index) or len(value) != len(index)
@@ -249,6 +223,10 @@ class LinearProgram:
             raise ValueError("non-finite coefficient")
         if not np.isfinite(rhs).all():
             raise ValueError("non-finite rhs")
+        codes = _sense_codes(sense, len(rhs))
+        first = len(self.rows)
+        self.rows._add((start, index.astype(np.int32), value, codes, rhs))
+        return range(first, len(self.rows))
 
 
 @dataclass

@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from maas_market import (DemandEntry, DemandTable, Link, Network,
+from maas_market import (DemandEntry, DemandTable, Link, MixedIntegerProgram,
+                         Network, ObjectivePolicy, build_outcome_lp,
                          build_sioux_falls, decompose_flows, fig5,
-                         generate_constraints_algorithm1, solve_matching)
+                         generate_constraints_algorithm1, solve_matching,
+                         solve_outcome)
+from maas_market.matching import _flow_model
+from maas_market.outcomes import BUYER_OPTIMAL
 from maas_market.randnet import random_instance
+from maas_market.solve import Rows
 
 
 def pipeline_artifacts(network, demand, subsidies=None):
@@ -15,6 +21,33 @@ def pipeline_artifacts(network, demand, subsidies=None):
     system = generate_constraints_algorithm1(network, demand, matching,
                                              decomposition, subsidies=subsidies)
     return matching, matching.duals, decomposition, system
+
+
+def build_mcnd(network, demand):
+    """Literal per-commodity model: |A|*|S| flow variables plus |A| binaries."""
+    balances = [{e.origin: e.demand, e.destination: -e.demand} for e in demand.entries]
+    lp, _ = _flow_model(network, network.links, balances,
+                        linking=[link.capacity for link in network.links])
+    y_offset = lp.num_vars - len(network.links)
+    return MixedIntegerProgram(lp=lp, binary_vars=frozenset(range(y_offset, lp.num_vars)))
+
+
+def core_nonempty(system):
+    """Whether ``system`` has a stable outcome.  The buyer-optimal LP is
+    bounded (u_s <= U_s - t_r on each optimal path), so it is optimal
+    exactly when it is feasible."""
+    model = build_outcome_lp(system, ObjectivePolicy(global_mode=BUYER_OPTIMAL))
+    return solve_outcome(model, tie_break=False).status == "optimal"
+
+
+def rebuilt(lp, rows=None, **changes):
+    """A copy of ``lp``, with ``changes``, whose rows are ``rows`` (``lp``'s
+    own by default) read as ``Row`` values and added one by one through
+    ``add_row``: the same rows in new arrays, not a ``copy()``."""
+    copy = replace(lp, rows=Rows(), **changes)
+    for row in lp.rows if rows is None else rows:
+        copy.add_row(row.coeffs, row.sense, row.rhs)
+    return copy
 
 
 def effective_bounds(lp):

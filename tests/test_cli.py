@@ -277,6 +277,41 @@ def test_lemma_precondition_exit_1(capsys):
     assert json.loads(capsys.readouterr().err)["error_class"] == "validation"
 
 
+LEMMA1 = ["lemma1", "--t12", "1", "--t23", "1", "--t13", "3", "--c12", "10",
+          "--c23", "10", "--c13", "50"]
+
+
+@pytest.mark.parametrize("argv, edit, error_class", [
+    pytest.param(["fixtures", "--which", "sioux-falls", "--transfer-cost", "-1"], None,
+                 "validation", id="negative-transfer-cost"),
+    pytest.param(LEMMA1 + ["--d", "0"], None, "validation", id="lemma1-zero-demand"),
+    pytest.param(["lemma2", "--t23-small", "6", "--t23-large", "5", "--c23-large", "1"],
+                 None, "validation", id="lemma2-slower-small-operator"),
+    pytest.param(["run"], {"edit": "merge_operators", "sources": [1.5], "target": 1},
+                 "scenario", id="fractional-operator"),
+    pytest.param(["run"], {"edit": "set_capacity", "tail": 1.9, "head": 3, "capacity": 10},
+                 "scenario", id="fractional-node"),
+    pytest.param(["run"], {"edit": "set_fixed_fare", "operator": 1, "flag": "false"},
+                 "scenario", id="string-flag"),
+    pytest.param(["run"], {"edit": "scale_costs", "operator": True, "factor": 2},
+                 "scenario", id="boolean-operator"),
+])
+def test_bad_input_prints_one_error_line(tmp_path, fig5_files, capsys, argv, edit,
+                                         error_class):
+    if argv[0] in ("fixtures", "run"):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    if edit is not None:
+        network, demand = fig5_files
+        scenario = _write(tmp_path / "scenario.json", json.dumps([edit]))
+        argv += ["--network", network, "--demand", demand, "--scenario", scenario]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error_class"] == error_class
+
+
 def test_enumerate_paths(fig5_files, capsys):
     network, demand = fig5_files
     code = main(["enumerate-paths", "--network", network, "--demand", demand])

@@ -9,7 +9,6 @@ def test_lemma1_spec_example():
     inst = CoopCompeteInstance(t12=1, t23=1, t13=3, c12=10, c23=10, c13=50,
                                d=100)
     assert lemma1_lower_bound(inst) == pytest.approx(-50.8)
-    assert lemma1_lower_bound(inst, clamp=True) == 0.0
 
 
 def test_lemma1_equality_case():

@@ -3,13 +3,13 @@ import json
 import pytest
 
 from maas_market import (DemandEntry, DemandTable, InfeasibleMatchingError,
-                         Link, Network, Path, build_mcnd, decompose_flows,
+                         Link, Network, Path, decompose_flows,
                          dump_demand, dump_network, extract_duals, fig5,
                          solve_matching, solve_milp)
 from maas_market.cli import main
 from maas_market.matching import FLOW_EPS, _walk_paths
 from maas_market.randnet import random_instance
-from conftest import float_capacity_shortfall
+from conftest import build_mcnd, float_capacity_shortfall
 
 def _line_network():
     links = (Link(1, 2, travel_cost=2, operating_cost=5, capacity=10, owner=1),)

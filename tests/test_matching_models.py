@@ -10,15 +10,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from maas_market import (build_mcnd, build_sioux_falls, fig5, solve,
-                         solve_lp, solve_matching, solve_milp)
+from maas_market import (build_sioux_falls, fig5, solve, solve_lp,
+                         solve_matching, solve_milp)
 from maas_market.matching import (_build_origin_aggregated, _flow_model,
                                   _lagrangian_bound, _linking, _origin_balances,
                                   _root_fixings, flow_lp)
 from maas_market.randnet import random_instance
 from maas_market.scenario import Scenario, SetCapacity, apply_scenario
 from maas_market.solve import GE, LE
-from conftest import effective_bounds
+from conftest import build_mcnd, effective_bounds
 
 INSTANCES = [("fig5", *fig5())] + [(f"seed {s}", *random_instance(s)) for s in range(50)]
 

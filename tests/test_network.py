@@ -78,8 +78,9 @@ def test_round_trip_idempotent():
 def test_load_demand():
     doc = "origin,destination,demand,utility\n1,3,1000,20\n1,4,500,20\n"
     table = load_demand(io.StringIO(doc))
-    assert table.by_od[(1, 3)].demand == 1000
-    assert table.by_od[(1, 4)].utility == 20
+    by_od = {entry.od: entry for entry in table.entries}
+    assert by_od[(1, 3)].demand == 1000
+    assert by_od[(1, 4)].utility == 20
     assert table.total_demand() == 1500
 
 

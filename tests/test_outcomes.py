@@ -6,14 +6,13 @@ import pytest
 from maas_market import (DemandEntry, DemandTable, Link, Network,
                          ObjectivePolicy, OutcomeOptions, Scenario,
                          apply_scenario, build_outcome_lp, build_sioux_falls,
-                         check_core_nonempty, outcomes, report, solve,
-                         solve_lp, solve_outcome)
+                         outcomes, report, solve, solve_lp, solve_outcome)
 from maas_market.errors import SolveNumericalError
 from maas_market.outcomes import (BUYER_OPTIMAL, REVENUE_MAX, SELLER_OPTIMAL,
                                   WELFARE_MAX)
 from maas_market.scenario import SetCapacity
 from maas_market.solve import EQ
-from conftest import pipeline_artifacts
+from conftest import core_nonempty, pipeline_artifacts, rebuilt
 
 
 def _vertex(system, mode, options=OutcomeOptions(), **kwargs):
@@ -114,7 +113,7 @@ def _cold_tiebreak(model, primary_value, x):
     and one cold solve per stage: an independent reference for the warm
     stages, which work on the optimal face instead."""
     lp = model.lp
-    stage = replace(lp, rows=list(lp.rows))
+    stage = rebuilt(lp)
     primary = [(i, v) for i, v in enumerate(lp.objective) if v != 0]
     stage.add_row(primary, EQ, primary_value)
     flows = _cover_flows(model.system)
@@ -296,7 +295,7 @@ def test_all_rows_satisfied(fig5_pipeline):
 
 
 def test_core_nonempty_fig5(fig5_pipeline):
-    assert check_core_nonempty(fig5_pipeline[3])
+    assert core_nonempty(fig5_pipeline[3])
 
 
 def test_empty_core_low_utility():
@@ -304,7 +303,7 @@ def test_empty_core_low_utility():
     network = Network(nodes=frozenset({1, 2}), links=links)
     demand = DemandTable(entries=(DemandEntry(1, 2, 5, 1.0),))
     _, _, _, system = pipeline_artifacts(network, demand)
-    assert not check_core_nonempty(system)
+    assert not core_nonempty(system)
     out = _vertex(system, BUYER_OPTIMAL)
     assert out.status == "empty_core"
 
@@ -315,7 +314,7 @@ def test_empty_core_cover_exceeds_surplus():
     network = Network(nodes=frozenset({1, 2}), links=links)
     demand = DemandTable(entries=(DemandEntry(1, 2, 5, 5.0),))
     _, _, _, system = pipeline_artifacts(network, demand)
-    assert not check_core_nonempty(system)
+    assert not core_nonempty(system)
 
 
 def test_fixed_fare_ties_prices(fig5_pipeline):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from maas_market import (Link, Network, ObjectivePolicy, Scenario,
-                         apply_scenario, build_outcome_lp, check_core_nonempty,
+                         apply_scenario, build_outcome_lp,
                          generate_constraints_algorithm1,
                          generate_constraints_enumeration, solve_matching,
                          solve_outcome)
@@ -14,7 +14,7 @@ from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL, WELFARE_MAX
 from maas_market.randnet import random_instance
 from maas_market.scenario import (MergeOperators, ScaleCosts, SetFixedFare,
                                   SetObjectivePolicy, Subsidy)
-from conftest import flows_for, pipeline_artifacts
+from conftest import core_nonempty, flows_for, pipeline_artifacts
 
 SEEDS = list(range(12))
 
@@ -206,12 +206,12 @@ def test_subsidy_enlarges_stable_region(corpus_instance):
         lhs = buyer.surplus[row.group] + sum(
             buyer.prices[(row.group, nodes, f)] for nodes, f in row.terms)
         assert lhs >= row.bound - 1e-6
-    assert check_core_nonempty(bigger)
+    assert core_nonempty(bigger)
 
 
 def test_merge_all_preserves_nonempty_core(corpus_instance):
     _, network, demand, (_, _, _, system) = corpus_instance
-    if not check_core_nonempty(system):
+    if not core_nonempty(system):
         return
     merged_links = tuple(
         Link(l.tail, l.head, l.travel_cost, l.operating_cost, l.capacity,
@@ -219,7 +219,7 @@ def test_merge_all_preserves_nonempty_core(corpus_instance):
         for l in network.links)
     merged_net = Network(nodes=network.nodes, links=merged_links)
     _, _, _, merged_system = pipeline_artifacts(merged_net, demand)
-    assert check_core_nonempty(merged_system)
+    assert core_nonempty(merged_system)
 
 
 def _owner_and_policy_scenarios(seed, network, activations):

@@ -187,7 +187,7 @@ def test_load_scenario_json():
     doc = json.dumps([
         {"edit": "set_capacity", "tail": 1, "head": 21, "capacity": 500},
         {"edit": "subsidy", "tail": 23, "head": 4, "gamma": 5},
-        {"edit": "merge_operators", "sources": [1, 3], "target": 1},
+        {"edit": "merge_operators", "sources": [1, 3.0], "target": "1"},
         {"edit": "set_fixed_fare", "operator": 1},
         {"edit": "set_objective_policy", "operator": 1, "mode": "welfare_max"},
         {"edit": "scale_travel", "factor": 1.5},
@@ -195,6 +195,9 @@ def test_load_scenario_json():
     scenario = load_scenario(io.StringIO(doc))
     assert len(scenario.edits) == 6
     assert isinstance(scenario.edits[0], SetCapacity)
+    # integral ids parse from a float or a string too
+    assert scenario.edits[2] == MergeOperators(sources=(1, 3), target=1)
+    assert scenario.edits[3].flag is True
     assert scenario.edits[5].operator is None
 
 

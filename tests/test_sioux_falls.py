@@ -1,6 +1,6 @@
 import pytest
 
-from maas_market import build_sioux_falls
+from maas_market import ValidationError, build_sioux_falls
 from maas_market.fixtures import BUS_OPERATOR, RAIL_OPERATOR
 from maas_market._sioux_falls_data import LINKS
 
@@ -49,7 +49,7 @@ def test_rail_link_count_matches_data():
 
 def test_demand_scaling_and_utility():
     _, demand = build_sioux_falls(transfer_cost=0.0, utility=40.0)
-    entry = demand.by_od[(1, 10)]
+    entry = next(entry for entry in demand.entries if entry.od == (1, 10))
     assert entry.demand == 1300.0         # matrix cell 13, x100
     assert entry.utility == 40.0
     assert demand.total_demand() == 360600.0
@@ -63,5 +63,5 @@ def test_capacity_scale():
 
 
 def test_negative_transfer_cost_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         build_sioux_falls(transfer_cost=-1.0)
