@@ -59,6 +59,8 @@ def _load_inputs(args):
         scenario = load_scenario(args.scenario)
         network, demand, annotations = apply_scenario(network, demand, scenario)
     for f in getattr(args, "fixed_fare", None) or []:
+        if f not in network.operators:
+            raise ValidationError(f"--fixed-fare: unknown operator {f}")
         annotations.fixed_fare_operators.add(f)
     return network, demand, annotations
 
@@ -260,6 +262,8 @@ def _bench_one(name, network, demand, annotations, args):
 def cmd_bench(args) -> int:
     if bool(args.network) != bool(args.demand):
         raise ValidationError("bench needs --network and --demand together")
+    if not args.network and (args.scenario or args.fixed_fare):
+        raise ValidationError("bench --scenario and --fixed-fare need --network")
     records = []
     if args.network:
         network, demand, annotations = _load_inputs(args)

@@ -11,9 +11,20 @@ independent oracles for the general pipeline on instances they build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
+
+
+def _check(instance, message: str, positive=()) -> None:
+    """ValidationError naming the first field that is NaN or infinite, else
+    ``message`` when a field is negative or one in ``positive`` is 0."""
+    for name, value in vars(instance).items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+        if value < 0 or (value == 0 and name in positive):
+            raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -29,9 +40,7 @@ class CoopCompeteInstance:
     d: float
 
     def __post_init__(self):
-        values = (self.t12, self.t23, self.t13, self.c12, self.c23, self.c13)
-        if any(v < 0 for v in values) or self.d <= 0:
-            raise ValidationError("costs must be non-negative and demand positive")
+        _check(self, "costs must be non-negative and demand positive", positive=("d",))
 
     def cooperation_optimal(self) -> bool:
         coop = self.d * (self.t12 + self.t23) + self.c12 + self.c23
@@ -49,10 +58,7 @@ class SmallVsLargeInstance:
     x23_large_flow: float
 
     def __post_init__(self):
-        values = (self.t23_small, self.t23_large, self.c23_large,
-                  self.x23_large_flow)
-        if any(v < 0 for v in values):
-            raise ValidationError("all fields must be non-negative")
+        _check(self, "all fields must be non-negative")
 
 
 def lemma1_lower_bound(inst: CoopCompeteInstance) -> float:

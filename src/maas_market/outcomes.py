@@ -19,8 +19,8 @@ revenues and the objective do not move.
 The rows that no policy or option changes -- the surplus equalities, the
 operator covers and the stability rows -- are built once per
 ``ConstraintSystem`` and kept in its cache, as its price variables are.
-Each model copies them, sharing their arrays, and adds only its fixed-fare
-rows and its objective.
+Each model starts from that very :class:`~maas_market.solve.Rows` value and
+adds only its fixed-fare rows and its objective.
 """
 
 from __future__ import annotations
@@ -107,15 +107,14 @@ def build_outcome_lp(
     """Assemble the stable-outcome LP for one objective policy.
 
     The rows that no policy or option changes are built once per system and
-    kept in its cache; each model copies them and adds only its fixed-fare
-    rows and its objective.
+    kept in its cache; each model starts from them and adds only its
+    fixed-fare rows and its objective.
     """
     u_index, p_index, revenue_terms = _columns(system)
     n = len(u_index) + len(p_index)
     rows = system.cached("outcome_rows",
                          lambda: _policy_free_rows(system, u_index, p_index))
-    lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True,
-                       rows=rows.copy())
+    lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True, rows=rows)
 
     # fixed-fare tying: one common price across all paths of a flagged
     # operator, p_a - p_b = 0 per adjacent pair (a, b) of its price columns

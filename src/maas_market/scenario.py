@@ -233,6 +233,13 @@ def _id(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """A number read from JSON: what ``float()`` reads, save a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _parser(name):
     def wrap(fn):
         _EDIT_PARSERS[name] = fn
@@ -243,39 +250,39 @@ def _parser(name):
 @_parser("set_capacity")
 def _(obj):
     return SetCapacity(arc=(_id(obj["tail"]), _id(obj["head"])),
-                       capacity=float(obj["capacity"]))
+                       capacity=_number(obj["capacity"]))
 
 
 @_parser("scale_costs")
 def _(obj):
-    return ScaleCosts(operator=_id(obj["operator"]), factor=float(obj["factor"]))
+    return ScaleCosts(operator=_id(obj["operator"]), factor=_number(obj["factor"]))
 
 
 @_parser("scale_travel")
 def _(obj):
     operator = obj.get("operator")
     return ScaleTravel(operator=None if operator is None else _id(operator),
-                       factor=float(obj["factor"]))
+                       factor=_number(obj["factor"]))
 
 
 @_parser("surcharge")
 def _(obj):
-    return Surcharge(operator=_id(obj["operator"]), delta=float(obj["delta"]))
+    return Surcharge(operator=_id(obj["operator"]), delta=_number(obj["delta"]))
 
 
 @_parser("subsidy")
 def _(obj):
     return Subsidy(arc=(_id(obj["tail"]), _id(obj["head"])),
-                   gamma=float(obj["gamma"]))
+                   gamma=_number(obj["gamma"]))
 
 
 @_parser("add_links")
 def _(obj):
     links = tuple(
         Link(tail=_id(l["tail"]), head=_id(l["head"]),
-             travel_cost=float(l["travel_cost"]),
-             operating_cost=float(l["operating_cost"]),
-             capacity=float(l["capacity"]), owner=_id(l["owner"]))
+             travel_cost=_number(l["travel_cost"]),
+             operating_cost=_number(l["operating_cost"]),
+             capacity=_number(l["capacity"]), owner=_id(l["owner"]))
         for l in obj["links"])
     return AddLinks(links=links)
 

@@ -1,14 +1,15 @@
 """Exact LP/MILP layer with dual extraction.
 
-An LP keeps its rows as CSR arrays (:class:`Rows`) from the model builders
-to HiGHS.  Rows are built only through :meth:`LinearProgram.add_rows`, which
-appends a whole block and checks every row of it, and the handle builder
-reorders them into ``linprog``'s form with numpy, and HiGHS takes them row
-by row through the array form of ``passModel`` and stores them by column
-itself.  No model passes through ``scipy.sparse`` or per-coefficient Python
-on its way to HiGHS.  Read as a sequence, the rows are :class:`Row` values
-built from the arrays.  HiGHS rejects a row that lists a column twice, and
-so does the solver, with ``ValueError``.
+An LP keeps its rows as one block of CSR arrays (:class:`Rows`), a value
+that is never written, from the model builders to HiGHS.  They come in only
+through :meth:`LinearProgram.add_rows`, which checks every row of a block
+and gives the LP a new ``Rows`` holding the old rows and the new, so LPs
+may share one.  The handle builder reorders them into ``linprog``'s form
+with numpy, and HiGHS takes them row by row through the array form of
+``passModel`` and stores them by column itself: no model passes through
+``scipy.sparse`` or per-coefficient Python.  Read as a sequence, the rows
+are :class:`Row` values built from the arrays.  HiGHS rejects a row that
+lists a column twice, and so does the solver, with ``ValueError``.
 
 Mixed-integer programs are solved by a deterministic branch-and-bound over
 the binary variables with LP-relaxation bounds (Land and Doig, 1960):
@@ -112,73 +113,36 @@ class Row:
 
 
 class Rows(Sequence):
-    """The rows of an LP as CSR arrays.
+    """The rows of an LP as one block of CSR arrays, never written once built.
 
     Row ``k`` has the columns ``index[start[k]:start[k + 1]]``, the
     coefficients ``value`` at the same positions, the sense ``sense[k]`` (an
     index into ``(LE, EQ, GE)``) and the right-hand side ``rhs[k]``;
     :meth:`csr` returns these five arrays.  As a sequence the rows read as
-    :class:`Row` values.
-
-    The rows are kept as a list of blocks, each five such arrays, that are
-    never written once built: each :meth:`LinearProgram.add_rows` call adds
-    one.  A :meth:`copy` shares the blocks, and later additions to either
-    side leave the other unchanged; :meth:`shares` tells whether two rows
-    hold the same blocks.
+    :class:`Row` values.  ``Rows()`` holds no rows, and
+    :meth:`LinearProgram.add_rows` gives its LP a new ``Rows`` holding the
+    old rows and the new, so LPs may share one.
     """
 
     def __init__(self):
-        self._blocks = []
-        self._count = 0      # rows in the blocks
-        self._merged = None  # the blocks as one, once csr() has built it
-
-    def _add(self, block) -> None:
-        self._blocks.append(block)
-        self._count += len(block[4])
-        self._merged = None
+        self._csr = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32),
+                     np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
 
     def csr(self):
         """The arrays ``(start, index, value, sense, rhs)`` of every row."""
-        if self._merged is None:
-            self._merged = _merge(self._blocks)
-        return self._merged
-
-    def copy(self) -> Rows:
-        rows = Rows()
-        rows._blocks, rows._count, rows._merged = list(self._blocks), self._count, self._merged
-        return rows
-
-    def shares(self, other: Rows) -> bool:
-        """Whether these rows hold the very blocks of ``other`` and no
-        more: one is a :meth:`copy` of the other, and neither has grown."""
-        return (len(self._blocks) == len(other._blocks)
-                and all(a is b for a, b in zip(self._blocks, other._blocks)))
+        return self._csr
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._csr[4])
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]  # IndexError past either end
-        start, index, value, sense, rhs = self.csr()
+        start, index, value, sense, rhs = self._csr
         a, b = start[k], start[k + 1]
         return Row(list(zip(index[a:b].tolist(), value[a:b].tolist())),
                    _SENSES[sense[k]], float(rhs[k]))
-
-
-def _merge(blocks):
-    """One block of CSR arrays holding ``blocks`` in order."""
-    if len(blocks) == 1:
-        return blocks[0]
-    if not blocks:
-        return (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32),
-                np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0))
-    offsets = np.cumsum([0] + [block[0][-1] for block in blocks])
-    return (np.concatenate([[0]] + [block[0][1:] + offset
-                                    for block, offset in zip(blocks, offsets)]),
-            *(np.concatenate([block[i] for block in blocks], dtype=dtype)
-              for i, dtype in ((1, np.int32), (2, float), (3, np.int8), (4, float))))
 
 
 @dataclass
@@ -186,7 +150,7 @@ class LinearProgram:
     num_vars: int
     objective: list[float]
     maximize: bool = False
-    # empty, or the copy() of another LP's rows; added through add_rows
+    # empty, or another LP's rows; added through add_rows
     rows: Rows = field(default_factory=Rows)
     # per-variable (lower, upper) numbers, +-inf for none; None: all (0, +inf)
     bounds: list[tuple[float, float]] | None = None
@@ -223,9 +187,14 @@ class LinearProgram:
             raise ValueError("non-finite coefficient")
         if not np.isfinite(rhs).all():
             raise ValueError("non-finite rhs")
-        codes = _sense_codes(sense, len(rhs))
+        block = (start, index.astype(np.int32), value, _sense_codes(sense, len(rhs)), rhs)
         first = len(self.rows)
-        self.rows._add((start, index.astype(np.int32), value, codes, rhs))
+        if first:  # the old rows, then the block
+            old = self.rows.csr()
+            block = (np.concatenate((old[0], start[1:] + old[0][-1])),
+                     *(np.concatenate(pair) for pair in zip(old[1:], block[1:])))
+        self.rows = Rows()
+        self.rows._csr = block
         return range(first, len(self.rows))
 
 
@@ -339,7 +308,7 @@ def _highs_handle(lp: LinearProgram, bounds) -> _Handle:
         raise ValueError("HiGHS rejected the LP: a row lists a column twice "
                          "or one out of range, or a cost or bound is not valid")
     return _Handle(highs=highs, lp_rows=order, flips=flips, upper=upper, sign=sign,
-                   rows=lp.rows.copy(), shape=(lp.num_vars, lp.maximize, lp.bounds),
+                   rows=lp.rows, shape=(lp.num_vars, lp.maximize, lp.bounds),
                    cost=cost, fixed=np.zeros(lp.num_vars, dtype=bool), equal=eq[order])
 
 
@@ -384,7 +353,7 @@ def _restrict_to_face(lp: LinearProgram, warm: SolveResult) -> _Handle:
         raise ValueError("warm start needs an optimal LP result whose "
                          "handle no later solve has taken")
     if ((lp.num_vars, lp.maximize, lp.bounds) != handle.shape
-            or not lp.rows.shares(handle.rows)):
+            or lp.rows is not handle.rows):
         raise ValueError("warm start needs the same columns, sense and bounds, "
                          "and the very rows that were solved")
     highs = handle.highs
@@ -422,8 +391,8 @@ def solve_lp(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
     handle to this solve, which optimises ``lp.objective`` over the optimal
     face of that result with the primal simplex, from the handle's basis.
     ``lp`` must have the same columns, sense and bounds and the very rows
-    that result solved (the same :class:`Rows` or a :meth:`Rows.copy`, with
-    nothing added), else ``ValueError``.  The duals are those of the LP
+    that result solved (the same :class:`Rows` object: adding rows gives an
+    LP a new one), else ``ValueError``.  The duals are those of the LP
     restricted to the face.  A result can warm-start one later solve only.
     """
     if lp.num_vars == 0 and warm is None:

@@ -43,7 +43,7 @@ def core_nonempty(system):
 def rebuilt(lp, rows=None, **changes):
     """A copy of ``lp``, with ``changes``, whose rows are ``rows`` (``lp``'s
     own by default) read as ``Row`` values and added one by one through
-    ``add_row``: the same rows in new arrays, not a ``copy()``."""
+    ``add_row``: the same rows in a new ``Rows``, not ``lp``'s own."""
     copy = replace(lp, rows=Rows(), **changes)
     for row in lp.rows if rows is None else rows:
         copy.add_row(row.coeffs, row.sense, row.rhs)

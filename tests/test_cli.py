@@ -281,35 +281,57 @@ LEMMA1 = ["lemma1", "--t12", "1", "--t23", "1", "--t13", "3", "--c12", "10",
           "--c23", "10", "--c13", "50"]
 
 
-@pytest.mark.parametrize("argv, edit, error_class", [
+@pytest.mark.parametrize("argv, edit, error_class, message", [
     pytest.param(["fixtures", "--which", "sioux-falls", "--transfer-cost", "-1"], None,
-                 "validation", id="negative-transfer-cost"),
-    pytest.param(LEMMA1 + ["--d", "0"], None, "validation", id="lemma1-zero-demand"),
+                 "validation", "transfer", id="negative-transfer-cost"),
+    pytest.param(LEMMA1 + ["--d", "0"], None, "validation", "demand positive",
+                 id="lemma1-zero-demand"),
+    pytest.param(LEMMA1 + ["--d", "nan"], None, "validation", "d must be finite, got nan",
+                 id="lemma1-nan-demand"),
     pytest.param(["lemma2", "--t23-small", "6", "--t23-large", "5", "--c23-large", "1"],
-                 None, "validation", id="lemma2-slower-small-operator"),
+                 None, "validation", "at least as fast", id="lemma2-slower-small-operator"),
+    pytest.param(["lemma2", "--t23-small", "nan", "--t23-large", "5", "--c23-large", "1"],
+                 None, "validation", "t23_small must be finite, got nan",
+                 id="lemma2-nan-time"),
     pytest.param(["run"], {"edit": "merge_operators", "sources": [1.5], "target": 1},
-                 "scenario", id="fractional-operator"),
+                 "scenario", "malformed merge_operators", id="fractional-operator"),
     pytest.param(["run"], {"edit": "set_capacity", "tail": 1.9, "head": 3, "capacity": 10},
-                 "scenario", id="fractional-node"),
+                 "scenario", "malformed set_capacity", id="fractional-node"),
     pytest.param(["run"], {"edit": "set_fixed_fare", "operator": 1, "flag": "false"},
-                 "scenario", id="string-flag"),
+                 "scenario", "malformed set_fixed_fare", id="string-flag"),
     pytest.param(["run"], {"edit": "scale_costs", "operator": True, "factor": 2},
-                 "scenario", id="boolean-operator"),
+                 "scenario", "malformed scale_costs", id="boolean-operator"),
+    pytest.param(["run"], {"edit": "set_capacity", "tail": 1, "head": 3, "capacity": True},
+                 "scenario", "entry 0: malformed set_capacity", id="boolean-capacity"),
+    pytest.param(["run"], {"edit": "subsidy", "tail": 1, "head": 3, "gamma": False},
+                 "scenario", "entry 0: malformed subsidy", id="boolean-gamma"),
+    pytest.param(["run", "--fixed-fare", "42"], None, "validation",
+                 "--fixed-fare: unknown operator 42", id="unknown-fixed-fare"),
+    # operator 2 is gone once the scenario has merged it into operator 1
+    pytest.param(["run", "--fixed-fare", "2"],
+                 {"edit": "merge_operators", "sources": [2], "target": 1}, "validation",
+                 "--fixed-fare: unknown operator 2", id="merged-fixed-fare"),
+    pytest.param(["bench", "--random", "1"], {"edit": "set_fixed_fare", "operator": 1},
+                 "validation", "need --network", id="bench-scenario-without-network"),
+    pytest.param(["bench", "--random", "1", "--fixed-fare", "1"], None,
+                 "validation", "need --network", id="bench-fixed-fare-without-network"),
 ])
 def test_bad_input_prints_one_error_line(tmp_path, fig5_files, capsys, argv, edit,
-                                         error_class):
+                                         error_class, message):
     if argv[0] in ("fixtures", "run"):
         argv = [*argv, "--out", str(tmp_path / "out")]
+    if argv[0] == "run":
+        argv += ["--network", fig5_files[0], "--demand", fig5_files[1]]
     if edit is not None:
-        network, demand = fig5_files
-        scenario = _write(tmp_path / "scenario.json", json.dumps([edit]))
-        argv += ["--network", network, "--demand", demand, "--scenario", scenario]
+        argv += ["--scenario", _write(tmp_path / "scenario.json", json.dumps([edit]))]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error_class"] == error_class
+    record = json.loads(lines[0])
+    assert record["error_class"] == error_class
+    assert message in record["message"]
 
 
 def test_enumerate_paths(fig5_files, capsys):

@@ -206,11 +206,14 @@ def test_rows_read_as_a_sequence():
     with pytest.raises(IndexError):
         lp.rows[4]
     assert sum(len(row.coeffs) for row in lp.rows) == 6
-    # a copy rebuilt row by row, or through copy(), takes later rows on its own
-    for copy in (rebuilt(lp), replace(lp, rows=lp.rows.copy())):
+    # a copy rebuilt row by row, or sharing its rows, takes later rows on its
+    # own: the shared Rows object and its arrays stay as they were
+    rows, csr = lp.rows, lp.rows.csr()
+    for copy in (rebuilt(lp), replace(lp)):
         copy.add_row([(2, 1.0)], LE, 1.0)
         assert len(copy.rows) == 5 and len(lp.rows) == 4
-        assert copy.rows[:4] == want
+        assert copy.rows[:4] == want and copy.rows is not rows
+        assert lp.rows is rows and rows.csr() is csr
     lp.add_row([(0, 1.0)], GE, 0.0)
     assert len(lp.rows) == 5 and lp.rows[4] == Row([(0, 1.0)], GE, 0.0)
 
@@ -250,7 +253,7 @@ def test_objective_and_bounds_need_one_entry_per_column():
             solve_lp(bad)
     # warm: the stage's objective goes to the solved handle
     for objective in ([1.0], [1.0] * 4):
-        stage = replace(lp, rows=lp.rows.copy(), objective=objective)
+        stage = replace(lp, objective=objective)
         with pytest.raises(ValueError):
             solve_lp(stage, warm=solve_lp(lp))
 
@@ -289,7 +292,7 @@ def test_rows_reject_malformed_csr_and_senses():
 def test_a_row_listing_a_column_twice_is_rejected():
     lp = LinearProgram(num_vars=2, objective=[1.0, 1.0], maximize=True)
     lp.add_row([(0, 1.0), (1, 1.0)], LE, 4.0)
-    bad = replace(lp, rows=lp.rows.copy())
+    bad = replace(lp)
     bad.add_row([(0, 1.0), (0, 2.0)], LE, 3.0)
     with pytest.raises(ValueError):
         solve_lp(bad)
@@ -297,7 +300,7 @@ def test_a_row_listing_a_column_twice_is_rejected():
     with pytest.raises(ValueError):  # and rows past the solved ones are another model
         solve_lp(bad, warm=first)
     # the rejected rows left the handle as it was, so it still warm-starts
-    stage = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
+    stage = replace(lp, objective=[1.0, 0.0])
     assert solve_lp(stage, warm=first).objective == pytest.approx(4.0)
 
 
@@ -381,22 +384,22 @@ def test_warm_solve_rejects_another_model():
     for other in (other_rows, other_cols, other_sense):
         with pytest.raises(ValueError):
             solve_lp(other, warm=solve_lp(lp))
-    # the same rows rebuilt, not a copy() of the solved ones, are another model
+    # the same rows rebuilt, not the solved Rows itself, are another model
     with pytest.raises(ValueError):
         solve_lp(rebuilt(lp, objective=[1.0, 0.0]), warm=solve_lp(lp))
-    # so are rows appended after the solve, to a copy or to the solved rows
+    # so are rows appended after the solve, to another LP or to the solved one
     first = solve_lp(lp)
-    pinned = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
+    pinned = replace(lp, objective=[1.0, 0.0])
     pinned.add_row([(0, 1.0), (1, 1.0)], EQ, first.objective)
     with pytest.raises(ValueError):
         solve_lp(pinned, warm=first)
-    grown = replace(lp, rows=lp.rows.copy())
+    grown = replace(lp)
     solved = solve_lp(grown)
     grown.add_row([(0, 1.0)], LE, 1.0)
     with pytest.raises(ValueError):
         solve_lp(grown, warm=solved)
     # the face of the optimum (1.6, 1.2) is that point: x0 stays below its 2.0
-    stage = replace(lp, rows=lp.rows.copy(), objective=[1.0, 0.0])
+    stage = replace(lp, objective=[1.0, 0.0])
     assert solve_lp(stage, warm=first).objective == pytest.approx(1.6)
     with pytest.raises(ValueError):  # its handle went to the solve above
         solve_lp(stage, warm=first)
