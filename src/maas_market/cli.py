@@ -264,6 +264,9 @@ def cmd_bench(args) -> int:
         raise ValidationError("bench needs --network and --demand together")
     if not args.network and (args.scenario or args.fixed_fare):
         raise ValidationError("bench --scenario and --fixed-fare need --network")
+    if args.random < 0 or args.enum_cap < 1 or not (args.network or args.random):
+        raise ValidationError("bench needs --random >= 0, --enum-cap >= 1, and "
+                              "--network with --demand or --random >= 1")
     records = []
     if args.network:
         network, demand, annotations = _load_inputs(args)
@@ -320,6 +323,8 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_enumerate_paths(args) -> int:
+    if args.cap < 1:
+        raise ValidationError("enumerate-paths needs --cap >= 1")
     network = load_network(args.network)
     demand = load_demand(args.demand)
     matching = solve_matching(network, demand)

@@ -38,7 +38,7 @@ def fig5() -> tuple[Network, DemandTable]:
         Link(6, 4, travel_cost=5, operating_cost=200, capacity=BIG_CAPACITY, owner=OP_F),
     ]
     network = Network(nodes=frozenset(n for l in links for n in l.arc),
-                      links=tuple(sorted(links, key=lambda l: l.arc)))
+                      links=tuple(links))
     demand = DemandTable(entries=(
         DemandEntry(origin=1, destination=3, demand=1000, utility=20),
         DemandEntry(origin=1, destination=4, demand=500, utility=20),
@@ -79,7 +79,7 @@ def build_sioux_falls(
         for tail, head in TRANSFER_LINKS
     ]
     network = Network(nodes=frozenset(n for l in links for n in l.arc),
-                      links=tuple(sorted(links, key=lambda l: l.arc)))
+                      links=tuple(links))
     entries = []
     for i, row in enumerate(OD_DEMAND_X100):
         for j, cell in enumerate(row):
@@ -87,4 +87,4 @@ def build_sioux_falls(
                 continue
             entries.append(DemandEntry(origin=i + 1, destination=j + 1,
                                        demand=cell * 100.0, utility=utility))
-    return network, DemandTable(entries=tuple(sorted(entries, key=lambda e: e.od)))
+    return network, DemandTable(entries=tuple(entries))

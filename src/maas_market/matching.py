@@ -459,8 +459,8 @@ def _subtract(residual, nodes, amount):
 def dump_link_flows(network: Network, solution: MatchingSolution, target) -> None:
     """Aggregate flow per link, one row per link in arc order."""
     write_csv(target, ["tail", "head", "flow"],
-              [[a[0], a[1], f"{solution.total_flow(a):.6f}"]
-               for a in sorted(l.arc for l in network.links)])
+              [[l.tail, l.head, f"{solution.total_flow(l.arc):.6f}"]
+               for l in network.links])
 
 
 def dump_commodity_flows(solution: MatchingSolution, target) -> None:
@@ -473,7 +473,7 @@ def dump_commodity_flows(solution: MatchingSolution, target) -> None:
 
 
 def dump_link_status(network: Network, solution: MatchingSolution, target) -> None:
-    rows = [[a[0], a[1], solution.activations.get(a, 0),
-             f"{solution.duals.get(a, 0.0):.6f}"]
-            for a in sorted(l.arc for l in network.links)]
+    rows = [[l.tail, l.head, solution.activations.get(l.arc, 0),
+             f"{solution.duals.get(l.arc, 0.0):.6f}"]
+            for l in network.links]
     write_csv(target, ["tail", "head", "operated", "capacity_dual"], rows)

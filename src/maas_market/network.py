@@ -8,7 +8,6 @@ stability conditions downstream.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -55,12 +54,14 @@ class Link:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable directed network of operator-owned links."""
+    """Immutable directed network of operator-owned links, held in arc
+    order whatever order they are given in."""
 
     nodes: frozenset[int]
     links: tuple[Link, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "links", tuple(sorted(self.links, key=lambda l: l.arc)))
         seen = set()
         for link in self.links:
             link.validate()
@@ -83,7 +84,7 @@ class Network:
         return tuple(link for link in self.links if link.owner == operator)
 
     def replace_links(self, links: Iterable[Link]) -> "Network":
-        links = tuple(sorted(links, key=lambda l: l.arc))
+        links = tuple(links)
         nodes = frozenset(self.nodes) | {n for l in links for n in l.arc}
         return Network(nodes=nodes, links=links)
 
@@ -111,9 +112,12 @@ class DemandEntry:
 
 @dataclass(frozen=True)
 class DemandTable:
+    """Immutable OD table, held in OD order whatever order it is given in."""
+
     entries: tuple[DemandEntry, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e.od)))
         seen = set()
         for entry in self.entries:
             entry.validate()
@@ -135,42 +139,39 @@ class DemandTable:
                     raise ValidationError(f"OD {entry.od}: node {node} not in network")
 
 
-def _read_rows(source, header: list[str]):
+def _read_rows(source, header: list[str], types):
+    """Yield the rows after ``header`` in an open text handle or a CSV file,
+    each field converted by its entry in ``types``; blank lines are skipped.
+    A bad header, a row of the wrong width, an empty field, a failed
+    conversion or bytes that are not UTF-8 raise ``ValidationError`` naming
+    the physical line."""
     if hasattr(source, "read"):
-        handle = source
-    else:
-        handle = open(source, newline="")
-    with handle if handle is not source else io.StringIO(handle.read()) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
-            raise ValidationError(
-                f"expected header {','.join(header)!r}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if any(v is None or v.strip() == "" for v in row.values()):
-                raise ValidationError(f"line {lineno}: malformed row {row}")
-            yield lineno, row
+        lines = source
+    else:  # split at universal newlines, then decoded line by line
+        with open(source, "rb") as handle:
+            lines = (line.decode() for line in handle.read().splitlines(keepends=True))
+    reader = csv.reader(lines)
+    try:
+        first = next(reader, None)
+        if first is None or [f.strip() for f in first] != header:
+            raise ValidationError(f"expected header {','.join(header)!r}, got {first}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(types) or any(not v.strip() for v in row):
+                raise ValidationError(f"line {reader.line_num}: malformed row {row}")
+            yield [convert(v) for convert, v in zip(types, row)]
+    except UnicodeDecodeError as exc:  # raised before its line is counted
+        raise ValidationError(f"line {reader.line_num + 1}: {exc}") from exc
+    except (ValueError, csv.Error) as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from exc
 
 
 def load_network(source) -> Network:
     """Read a link table (``tail,head,travel_cost,operating_cost,capacity,owner``)."""
-    links = []
-    for lineno, row in _read_rows(source, LINK_HEADER):
-        try:
-            links.append(
-                Link(
-                    tail=int(row["tail"]),
-                    head=int(row["head"]),
-                    travel_cost=float(row["travel_cost"]),
-                    operating_cost=float(row["operating_cost"]),
-                    capacity=float(row["capacity"]),
-                    owner=int(row["owner"]),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-    nodes = frozenset(n for link in links for n in link.arc)
-    return Network(nodes=nodes, links=tuple(sorted(links, key=lambda l: l.arc)))
+    rows = _read_rows(source, LINK_HEADER, (int, int, float, float, float, int))
+    links = tuple(Link(*row) for row in rows)
+    return Network(nodes=frozenset(n for link in links for n in link.arc), links=links)
 
 
 def write_csv(target, header, rows) -> None:
@@ -184,35 +185,23 @@ def write_csv(target, header, rows) -> None:
 
 
 def dump_network(network: Network, target) -> None:
-    """Write a link table; one normalization pass (sorted by arc) is applied."""
+    """Write a link table, one row per link in arc order."""
     write_csv(target, LINK_HEADER,
               ([link.tail, link.head, _fmt(link.travel_cost),
                 _fmt(link.operating_cost), _fmt(link.capacity), link.owner]
-               for link in sorted(network.links, key=lambda l: l.arc)))
+               for link in network.links))
 
 
 def load_demand(source) -> DemandTable:
     """Read an OD table (``origin,destination,demand,utility``)."""
-    entries = []
-    for lineno, row in _read_rows(source, DEMAND_HEADER):
-        try:
-            entries.append(
-                DemandEntry(
-                    origin=int(row["origin"]),
-                    destination=int(row["destination"]),
-                    demand=float(row["demand"]),
-                    utility=float(row["utility"]),
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-    return DemandTable(entries=tuple(sorted(entries, key=lambda e: e.od)))
+    rows = _read_rows(source, DEMAND_HEADER, (int, int, float, float))
+    return DemandTable(entries=tuple(DemandEntry(*row) for row in rows))
 
 
 def dump_demand(table: DemandTable, target) -> None:
     write_csv(target, DEMAND_HEADER,
               ([entry.origin, entry.destination, _fmt(entry.demand), _fmt(entry.utility)]
-               for entry in sorted(table.entries, key=lambda e: e.od)))
+               for entry in table.entries))
 
 
 def _fmt(value: float) -> str:

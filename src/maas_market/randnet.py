@@ -48,7 +48,7 @@ def random_instance(seed: int) -> tuple[Network, DemandTable]:
                 capacity=BIG,
                 owner=rng.choice(ops + [0]))
         network = Network(nodes=frozenset(range(1, n + 1)),
-                          links=tuple(sorted(links.values(), key=lambda l: l.arc)))
+                          links=tuple(links.values()))
         # omega with no duals and every link operated is the travel cost
         succ = _omega_arcs(network, {}, dict.fromkeys(links, 1))
         pred = _predecessors(succ)
@@ -74,7 +74,7 @@ def random_instance(seed: int) -> tuple[Network, DemandTable]:
         if len(entries) < num_ods:
             rng = random.Random(f"{seed}-{attempt}")
             continue
-        demand_table = DemandTable(entries=tuple(sorted(entries, key=lambda e: e.od)))
+        demand_table = DemandTable(entries=tuple(entries))
         if rng.random() < 0.6:
             # shrink one shared backbone link to force a split or a dual,
             # keeping the instance routable

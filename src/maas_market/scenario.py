@@ -1,16 +1,17 @@
 """Scenario edits: ordered transformations of a network plus policy flags.
 
 A scenario is a list of edits applied left to right.  Structural edits
-(capacity, costs, link add/remove, operator merges) rewrite the network;
-policy edits (objective modes, fixed fares, subsidies) accumulate into
+(capacity, costs, link add/remove, operator merges) rewrite one link map,
+copied from the network, and one network is built from it after the last
+edit; policy edits (objective modes, fixed fares, subsidies) accumulate into
 annotations consumed by the outcomes module.  Scenarios are loaded from a
 JSON document: a list of objects, each with an ``edit`` key naming the type.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from .errors import ScenarioError, ValidationError
@@ -92,15 +93,14 @@ class PolicyAnnotations:
 
 def apply_scenario(network: Network, demand: DemandTable,
                    scenario: Scenario) -> tuple[Network, DemandTable, PolicyAnnotations]:
-    """Apply edits in order; pure, the inputs are never mutated."""
+    """Apply edits in order to one copy of the network's link map, then build
+    one network from it; pure, the inputs are never mutated.  Each edit
+    validates the links it changes, so the first faulty edit decides the error."""
     annotations = PolicyAnnotations()
-    for capacities, run in itertools.groupby(
-            scenario.edits, key=lambda edit: isinstance(edit, SetCapacity)):
-        if capacities:
-            network = _set_capacities(network, run)
-            continue
-        for edit in run:
-            network = _apply_edit(network, annotations, edit)
+    links = dict(network.by_arc)
+    for edit in scenario.edits:
+        _apply_edit(links, annotations, edit)
+    network = network.replace_links(links.values())
     try:
         demand.validate_against(network)
     except ValidationError as exc:
@@ -123,76 +123,69 @@ def apply_scenario(network: Network, demand: DemandTable,
     return network, demand, annotations
 
 
-def _require_operator(network, operator):
-    if operator not in network.operators:
-        raise ScenarioError(f"edit references unknown operator {operator}")
+def _require_operators(links, operators):
+    owners = {link.owner for link in links.values()}
+    for f in operators:
+        if f != DUMMY_OPERATOR and f not in owners:
+            raise ScenarioError(f"edit references unknown operator {f}")
 
 
-def _set_capacities(network, edits):
-    """Apply a run of ``SetCapacity`` edits with one ``replace_links``.
+def _put(links, link):
+    link.validate()
+    links[link.arc] = link
 
-    Each edit is checked in order, as one ``replace_links`` per edit would
-    check it: a missing link raises ``ScenarioError``, and an invalid
-    capacity the ``ValidationError`` of its link.
-    """
-    changed = {}
-    for edit in edits:
-        arc = tuple(edit.arc)
-        link = network.by_arc.get(arc)
+
+def _rewrite(links, operators, change):
+    """Replace each link owned by one of ``operators``, or every link when
+    ``operators`` is None, by ``change(link)``."""
+    if operators is not None:
+        _require_operators(links, operators)
+    for link in list(links.values()):
+        if operators is None or link.owner in operators:
+            _put(links, change(link))
+
+
+def _apply_edit(links, annotations, edit):
+    if isinstance(edit, SetCapacity):
+        link = links.get(tuple(edit.arc))
         if link is None:
             raise ScenarioError(f"set_capacity: no link {edit.arc}")
-        changed[arc] = replace(link, capacity=edit.capacity)
-        changed[arc].validate()
-    return network.replace_links([changed.get(l.arc, l) for l in network.links])
-
-
-def _apply_edit(network, annotations, edit):
-    if isinstance(edit, ScaleCosts):
-        _require_operator(network, edit.operator)
-        return network.replace_links(
-            [replace(l, operating_cost=l.operating_cost * edit.factor)
-             if l.owner == edit.operator else l for l in network.links])
-    if isinstance(edit, ScaleTravel):
-        if edit.operator is not None:
-            _require_operator(network, edit.operator)
-        return network.replace_links(
-            [replace(l, travel_cost=l.travel_cost * edit.factor)
-             if edit.operator is None or l.owner == edit.operator else l
-             for l in network.links])
-    if isinstance(edit, Surcharge):
-        _require_operator(network, edit.operator)
-        return network.replace_links(
-            [replace(l, operating_cost=l.operating_cost + edit.delta)
-             if l.owner == edit.operator else l for l in network.links])
-    if isinstance(edit, Subsidy):
-        arc = tuple(edit.arc)
-        link = network.by_arc.get(arc)
+        _put(links, replace(link, capacity=edit.capacity))
+    elif isinstance(edit, ScaleCosts):
+        _rewrite(links, (edit.operator,),
+                 lambda l: replace(l, operating_cost=l.operating_cost * edit.factor))
+    elif isinstance(edit, ScaleTravel):
+        _rewrite(links, None if edit.operator is None else (edit.operator,),
+                 lambda l: replace(l, travel_cost=l.travel_cost * edit.factor))
+    elif isinstance(edit, Surcharge):
+        _rewrite(links, (edit.operator,),
+                 lambda l: replace(l, operating_cost=l.operating_cost + edit.delta))
+    elif isinstance(edit, Subsidy):
+        link = links.get(tuple(edit.arc))
         if link is None:
-            raise ScenarioError(f"subsidy: no link {arc}")
+            raise ScenarioError(f"subsidy: no link {tuple(edit.arc)}")
         if not 0 <= edit.gamma <= link.operating_cost + 1e-12:
             raise ScenarioError(
-                f"subsidy on {arc} must lie in [0, operating cost]")
-        annotations.subsidies[arc] = edit.gamma
-        return network
-    if isinstance(edit, AddLinks):
+                f"subsidy on {link.arc} must lie in [0, operating cost]")
+        annotations.subsidies[link.arc] = edit.gamma
+    elif isinstance(edit, AddLinks):
         for link in edit.links:
-            if link.arc in network.by_arc:
+            if link.arc in links:
                 raise ScenarioError(f"add_links: link {link.arc} already exists")
-        return network.replace_links(list(network.links) + list(edit.links))
-    if isinstance(edit, RemoveLinks):
+            _put(links, link)
+    elif isinstance(edit, RemoveLinks):
         arcs = {tuple(a) for a in edit.arcs}
-        missing = arcs - set(network.by_arc)
+        missing = arcs - set(links)
         if missing:
             raise ScenarioError(f"remove_links: no links {sorted(missing)}")
+        for arc in arcs:
+            del links[arc]
         annotations.subsidies = {a: g for a, g in annotations.subsidies.items()
                                  if a not in arcs}
-        return network.replace_links(
-            [l for l in network.links if l.arc not in arcs])
-    if isinstance(edit, MergeOperators):
+    elif isinstance(edit, MergeOperators):
         if edit.target == DUMMY_OPERATOR or DUMMY_OPERATOR in edit.sources:
             raise ScenarioError("merge cannot involve the platform operator")
-        for f in edit.sources:
-            _require_operator(network, f)
+        _rewrite(links, edit.sources, lambda l: replace(l, owner=edit.target))
         sources = set(edit.sources)
         modes = annotations.objective_modes
         for f in sorted(sources & set(modes)):
@@ -202,23 +195,19 @@ def _apply_edit(network, annotations, edit):
         if sources & annotations.fixed_fare_operators:
             annotations.fixed_fare_operators -= sources
             annotations.fixed_fare_operators.add(edit.target)
-        return network.replace_links(
-            [replace(l, owner=edit.target) if l.owner in sources else l
-             for l in network.links])
-    if isinstance(edit, SetObjectivePolicy):
-        _require_operator(network, edit.operator)
+    elif isinstance(edit, SetObjectivePolicy):
+        _require_operators(links, (edit.operator,))
         if edit.mode not in ("revenue_max", "welfare_max"):
             raise ScenarioError(f"unknown objective mode {edit.mode!r}")
         annotations.objective_modes[edit.operator] = edit.mode
-        return network
-    if isinstance(edit, SetFixedFare):
-        _require_operator(network, edit.operator)
+    elif isinstance(edit, SetFixedFare):
+        _require_operators(links, (edit.operator,))
         if edit.flag:
             annotations.fixed_fare_operators.add(edit.operator)
         else:
             annotations.fixed_fare_operators.discard(edit.operator)
-        return network
-    raise ScenarioError(f"unknown edit {edit!r}")
+    else:
+        raise ScenarioError(f"unknown edit {edit!r}")
 
 
 _EDIT_PARSERS = {}
@@ -313,18 +302,20 @@ def _(obj):
 
 
 def load_scenario(source) -> Scenario:
-    """Parse a scenario from a JSON list of edit objects (order preserved)."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    """Parse a scenario from a JSON list of edit objects (order preserved):
+    an open text handle, left open, or a path, opened here and read as UTF-8."""
+    with (nullcontext(source) if hasattr(source, "read")
+          else open(source, encoding="utf-8")) as handle:
+        try:
+            doc = json.load(handle)
+        except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
+            raise ScenarioError(f"scenario is not a JSON document: {exc}") from exc
     if not isinstance(doc, list):
         raise ScenarioError("scenario document must be a JSON list of edits")
     edits = []
     for i, obj in enumerate(doc):
         kind = obj.get("edit") if isinstance(obj, dict) else None
-        parser = _EDIT_PARSERS.get(kind)
+        parser = _EDIT_PARSERS.get(kind) if isinstance(kind, str) else None
         if parser is None:
             raise ScenarioError(f"entry {i}: unknown edit type {kind!r}")
         try:

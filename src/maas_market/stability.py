@@ -35,11 +35,11 @@ keeps the optimal path sets (nodes, travel cost, omega and flow per path),
 whose operators each generation reads off its own owners, and, for Algorithm
 1 only, the cheapest path avoiding a subcoalition and its omega, or None,
 per (group, links the subcoalition owns); trees themselves are not kept.  An
-owner or policy edit hits it exactly: omega reads no owner, ``replace_links``
-sorts links by arc, so the successor lists keep their order, and a search
-that bans a subcoalition skips exactly the arcs its members own, so a merged
-subcoalition's search is, step for step, that of any subcoalition banning
-the same arcs.
+owner or policy edit hits it exactly: omega reads no owner, a ``Network``
+keeps its links in arc order, so the successor lists keep their order, and a
+search that bans a subcoalition skips exactly the arcs its members own, so a
+merged subcoalition's search is, step for step, that of any subcoalition
+banning the same arcs.
 
 The same entry keeps Algorithm 1's finished work.  Its path sets and
 deduplicated stability rows are keyed by the owner tuple (each link's owner,

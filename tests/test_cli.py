@@ -281,47 +281,80 @@ LEMMA1 = ["lemma1", "--t12", "1", "--t23", "1", "--t13", "3", "--c12", "10",
           "--c23", "10", "--c13", "50"]
 
 
-@pytest.mark.parametrize("argv, edit, error_class, message", [
+NETWORK_HEADER = b"tail,head,travel_cost,operating_cost,capacity,owner\n"
+
+
+# ``edit`` is written as a one-edit scenario; ``raw`` is the content of the
+# file given to the last option in ``argv``, in place of a fig5 input
+@pytest.mark.parametrize("argv, edit, raw, error_class, message", [
     pytest.param(["fixtures", "--which", "sioux-falls", "--transfer-cost", "-1"], None,
-                 "validation", "transfer", id="negative-transfer-cost"),
-    pytest.param(LEMMA1 + ["--d", "0"], None, "validation", "demand positive",
+                 None, "validation", "transfer", id="negative-transfer-cost"),
+    pytest.param(LEMMA1 + ["--d", "0"], None, None, "validation", "demand positive",
                  id="lemma1-zero-demand"),
-    pytest.param(LEMMA1 + ["--d", "nan"], None, "validation", "d must be finite, got nan",
-                 id="lemma1-nan-demand"),
+    pytest.param(LEMMA1 + ["--d", "nan"], None, None, "validation",
+                 "d must be finite, got nan", id="lemma1-nan-demand"),
     pytest.param(["lemma2", "--t23-small", "6", "--t23-large", "5", "--c23-large", "1"],
-                 None, "validation", "at least as fast", id="lemma2-slower-small-operator"),
+                 None, None, "validation", "at least as fast",
+                 id="lemma2-slower-small-operator"),
     pytest.param(["lemma2", "--t23-small", "nan", "--t23-large", "5", "--c23-large", "1"],
-                 None, "validation", "t23_small must be finite, got nan",
+                 None, None, "validation", "t23_small must be finite, got nan",
                  id="lemma2-nan-time"),
-    pytest.param(["run"], {"edit": "merge_operators", "sources": [1.5], "target": 1},
+    pytest.param(["run"], {"edit": "merge_operators", "sources": [1.5], "target": 1}, None,
                  "scenario", "malformed merge_operators", id="fractional-operator"),
     pytest.param(["run"], {"edit": "set_capacity", "tail": 1.9, "head": 3, "capacity": 10},
-                 "scenario", "malformed set_capacity", id="fractional-node"),
-    pytest.param(["run"], {"edit": "set_fixed_fare", "operator": 1, "flag": "false"},
+                 None, "scenario", "malformed set_capacity", id="fractional-node"),
+    pytest.param(["run"], {"edit": "set_fixed_fare", "operator": 1, "flag": "false"}, None,
                  "scenario", "malformed set_fixed_fare", id="string-flag"),
-    pytest.param(["run"], {"edit": "scale_costs", "operator": True, "factor": 2},
+    pytest.param(["run"], {"edit": "scale_costs", "operator": True, "factor": 2}, None,
                  "scenario", "malformed scale_costs", id="boolean-operator"),
     pytest.param(["run"], {"edit": "set_capacity", "tail": 1, "head": 3, "capacity": True},
-                 "scenario", "entry 0: malformed set_capacity", id="boolean-capacity"),
-    pytest.param(["run"], {"edit": "subsidy", "tail": 1, "head": 3, "gamma": False},
+                 None, "scenario", "entry 0: malformed set_capacity", id="boolean-capacity"),
+    pytest.param(["run"], {"edit": "subsidy", "tail": 1, "head": 3, "gamma": False}, None,
                  "scenario", "entry 0: malformed subsidy", id="boolean-gamma"),
-    pytest.param(["run", "--fixed-fare", "42"], None, "validation",
+    pytest.param(["run", "--fixed-fare", "42"], None, None, "validation",
                  "--fixed-fare: unknown operator 42", id="unknown-fixed-fare"),
     # operator 2 is gone once the scenario has merged it into operator 1
     pytest.param(["run", "--fixed-fare", "2"],
-                 {"edit": "merge_operators", "sources": [2], "target": 1}, "validation",
-                 "--fixed-fare: unknown operator 2", id="merged-fixed-fare"),
+                 {"edit": "merge_operators", "sources": [2], "target": 1}, None,
+                 "validation", "--fixed-fare: unknown operator 2", id="merged-fixed-fare"),
     pytest.param(["bench", "--random", "1"], {"edit": "set_fixed_fare", "operator": 1},
-                 "validation", "need --network", id="bench-scenario-without-network"),
-    pytest.param(["bench", "--random", "1", "--fixed-fare", "1"], None,
+                 None, "validation", "need --network",
+                 id="bench-scenario-without-network"),
+    pytest.param(["bench", "--random", "1", "--fixed-fare", "1"], None, None,
                  "validation", "need --network", id="bench-fixed-fare-without-network"),
+    pytest.param(["run"], {"edit": ["x"]}, None, "scenario",
+                 "entry 0: unknown edit type ['x']", id="list-edit-type"),
+    pytest.param(["run", "--scenario"], None, b'[{"edit": "set_capacity", "tail"',
+                 "scenario", "scenario is not a JSON document", id="truncated-scenario"),
+    pytest.param(["run", "--scenario"], None, b"\xff\xfe[]", "scenario",
+                 "scenario is not a JSON document", id="utf16-scenario"),
+    pytest.param(["run", "--scenario"], None, b"[" * 100_000, "scenario",
+                 "scenario is not a JSON document", id="deeply-nested-scenario"),
+    pytest.param(["run", "--network"], None, NETWORK_HEADER + b"1,2,3,4,5,1,9\n",
+                 "validation", "line 2: malformed row ['1', '2', '3', '4', '5', '1', '9']",
+                 id="network-row-too-wide"),
+    pytest.param(["run", "--network"], None,
+                 NETWORK_HEADER + b"1,2,3,4,5,1\n1,3,3,4,5,\xff\n", "validation",
+                 "line 3: 'utf-8' codec can't decode", id="network-not-utf8"),
+    pytest.param(["bench"], None, None, "validation",
+                 "--network with --demand or --random >= 1", id="bench-without-inputs"),
+    pytest.param(["bench", "--random", "-3"], None, None, "validation", "--random >= 0",
+                 id="bench-negative-random"),
+    pytest.param(["bench", "--random", "1", "--enum-cap", "-1"], None, None, "validation",
+                 "--enum-cap >= 1", id="bench-negative-enum-cap"),
+    pytest.param(["enumerate-paths", "--cap", "0"], None, None, "validation",
+                 "--cap >= 1", id="enumerate-paths-zero-cap"),
 ])
-def test_bad_input_prints_one_error_line(tmp_path, fig5_files, capsys, argv, edit,
+def test_bad_input_prints_one_error_line(tmp_path, fig5_files, capsys, argv, edit, raw,
                                          error_class, message):
+    if raw is not None:
+        (tmp_path / "raw").write_bytes(raw)
+        argv = [*argv, str(tmp_path / "raw")]
     if argv[0] in ("fixtures", "run"):
         argv = [*argv, "--out", str(tmp_path / "out")]
-    if argv[0] == "run":
-        argv += ["--network", fig5_files[0], "--demand", fig5_files[1]]
+    if argv[0] in ("run", "enumerate-paths"):
+        # argparse keeps the last value, so a raw input given above wins
+        argv = [*argv[:1], "--network", fig5_files[0], "--demand", fig5_files[1], *argv[1:]]
     if edit is not None:
         argv += ["--scenario", _write(tmp_path / "scenario.json", json.dumps([edit]))]
     assert main(argv) == 1

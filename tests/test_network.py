@@ -114,3 +114,28 @@ def test_demand_unknown_node_detected():
     table = DemandTable(entries=(DemandEntry(1, 9, 10, 5),))
     with pytest.raises(ValidationError):
         table.validate_against(network)
+
+
+def test_network_and_demand_hold_their_rows_in_order():
+    links = (Link(1, 2, 1, 1, 5, 1), Link(1, 3, 1, 1, 5, 1), Link(2, 3, 1, 1, 5, 2))
+    nodes = frozenset({1, 2, 3})
+    network = Network(nodes=nodes, links=links[::-1])
+    assert network == Network(nodes=nodes, links=links)
+    assert network.links == links
+    entries = (DemandEntry(1, 3, 10, 5), DemandEntry(2, 1, 10, 5), DemandEntry(2, 3, 10, 5))
+    table = DemandTable(entries=entries[::-1])
+    assert table == DemandTable(entries=entries)
+    assert table.entries == entries
+
+
+def test_error_names_the_physical_line_after_a_blank_line():
+    doc = "origin,destination,demand,utility\n1,3,10,5\n\n1,4,x,5\n"
+    with pytest.raises(ValidationError, match="^line 4: "):
+        load_demand(io.StringIO(doc))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_file_loads_with_any_line_ending(tmp_path, newline):
+    path = tmp_path / "network.csv"
+    path.write_bytes(newline.join(LINK_CSV.splitlines() + [""]).encode())
+    assert load_network(path) == load_network(io.StringIO(LINK_CSV))

@@ -158,6 +158,17 @@ def test_capacity_runs_match_one_edit_at_a_time(instance):
     assert cut_network.by_arc[(1, 3)].capacity == 50
 
 
+def test_added_link_takes_its_place_in_arc_order(instance):
+    network, demand = instance
+    first = Link(1, 2, travel_cost=1, operating_cost=1, capacity=10, owner=7)
+    assert first.arc < network.links[0].arc
+    edits = (AddLinks((first,)), ScaleTravel(None, 2.0))
+    edited = apply_scenario(network, demand, Scenario(edits=edits))[0]
+    assert [l.arc for l in edited.links] == sorted(edited.by_arc)
+    assert edited.links[0].arc == (1, 2) and edited.links[0].travel_cost == 2
+    assert edited == _one_edit_at_a_time(network, demand, edits)
+
+
 def test_capacity_run_errors(instance):
     network, demand = instance
     # the first faulty edit of a run decides the error, as one edit at a time
