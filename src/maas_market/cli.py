@@ -31,7 +31,8 @@ from .closedform import (CoopCompeteInstance, SmallVsLargeInstance,
 from .errors import MaasMarketError, PathCapExceeded, ValidationError
 from .matching import (Path, decompose_flows, dump_commodity_flows,
                        dump_link_flows, dump_link_status, solve_matching)
-from .network import dump_demand, dump_network, load_demand, load_network
+from .network import (DUMMY_OPERATOR, dump_demand, dump_network, load_demand,
+                      load_network, write_csv)
 from .outcomes import (BUYER_OPTIMAL, SELLER_OPTIMAL, ObjectivePolicy,
                        OutcomeOptions, build_outcome_lp, report, solve_outcome)
 from .randnet import random_instance
@@ -59,6 +60,9 @@ def _load_inputs(args):
         scenario = load_scenario(args.scenario)
         network, demand, annotations = apply_scenario(network, demand, scenario)
     for f in getattr(args, "fixed_fare", None) or []:
+        if f == DUMMY_OPERATOR:
+            raise ValidationError(
+                f"--fixed-fare: operator {f} is the platform, which has no fare")
         if f not in network.operators:
             raise ValidationError(f"--fixed-fare: unknown operator {f}")
         annotations.fixed_fare_operators.add(f)
@@ -131,11 +135,9 @@ def _write_run_artifacts(outdir, network, result):
     dump_link_flows(network, matching, outdir / "link_flows.csv")
     dump_commodity_flows(matching, outdir / "commodity_flows.csv")
     dump_link_status(network, matching, outdir / "link_status.csv")
-    with open(outdir / "path_flows.csv", "w") as fh:
-        fh.write("origin,destination,path,flow\n")
-        for path, z in result["decomposition"].path_flows:
-            nodes = "-".join(str(n) for n in path.nodes)
-            fh.write(f"{path.group[0]},{path.group[1]},{nodes},{z:.6f}\n")
+    write_csv(outdir / "path_flows.csv", ["origin", "destination", "path", "flow"],
+              ([*path.group, "-".join(map(str, path.nodes)), f"{z:.6f}"]
+               for path, z in result["decomposition"].path_flows))
     with open(outdir / "constraints.txt", "w") as fh:
         fh.write(result["system"].render_text())
     metrics = {"matching_objective": matching.objective, "outcomes": {}}
@@ -182,6 +184,15 @@ def _matching_inputs(network, demand):
     return network.nodes, links, demand
 
 
+def _compare_rows(deltas):
+    for entry in deltas:
+        for metric in sorted(entry["base"] or entry["scenario"]):
+            b = (entry["base"] or {}).get(metric, "")
+            v = (entry["scenario"] or {}).get(metric, "")
+            d = v - b if b != "" and v != "" else ""
+            yield [entry["policy"], entry["operator"], metric, b, v, d]
+
+
 def cmd_compare(args) -> int:
     """Base and scenario runs and their per-operator deltas.  A scenario
     that keeps the matching's inputs (owner and policy edits) reuses the
@@ -207,14 +218,9 @@ def cmd_compare(args) -> int:
             entry["delta"] = {k: v[k] - b[k] for k in v if k in b}
         deltas.append(entry)
     _dump_json({"deltas": deltas}, outdir / "compare.json")
-    with open(outdir / "compare.csv", "w") as fh:
-        fh.write("policy,operator,metric,base,scenario,delta\n")
-        for entry in deltas:
-            for metric in sorted((entry.get("base") or entry.get("scenario"))):
-                b = (entry["base"] or {}).get(metric, "")
-                v = (entry["scenario"] or {}).get(metric, "")
-                d = v - b if b != "" and v != "" else ""
-                fh.write(f"{entry['policy']},{entry['operator']},{metric},{b},{v},{d}\n")
+    write_csv(outdir / "compare.csv",
+              ["policy", "operator", "metric", "base", "scenario", "delta"],
+              _compare_rows(deltas))
     print(json.dumps({"status": "ok", "out": str(args.out)}))
     return EXIT_OK
 

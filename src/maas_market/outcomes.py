@@ -25,12 +25,13 @@ adds only its fixed-fare rows and its objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import SolveNumericalError
 from .matching import MatchingSolution
+from .network import DUMMY_OPERATOR
 from .solve import EQ, GE, LinearProgram, solve_lp
 from .stability import ConstraintSystem
 
@@ -53,6 +54,8 @@ class ObjectivePolicy:
         if self.global_mode not in (None, BUYER_OPTIMAL, SELLER_OPTIMAL):
             raise ValueError(f"unknown global mode {self.global_mode!r}")
         for f, mode in self.per_operator.items():
+            if f == DUMMY_OPERATOR:
+                raise ValueError(f"operator {f} is the platform, which has no prices")
             if mode not in (REVENUE_MAX, WELFARE_MAX):
                 raise ValueError(f"unknown operator mode {mode!r} for {f}")
 
@@ -310,20 +313,7 @@ def report(outcome: StableOutcome, matching: MatchingSolution | None = None) -> 
         "objective_label": outcome.objective_label,
         "consumer_surplus": outcome.consumer_surplus,
         "avg_services_per_traveler": outcome.avg_services_per_traveler,
-        "operators": [
-            {
-                "operator": m.operator,
-                "revenue": m.revenue,
-                "operating_cost": m.operating_cost,
-                "subsidy": m.subsidy,
-                "profit": m.profit,
-                "ridership": m.ridership,
-                "avg_fare": m.avg_fare,
-                "min_fare": m.min_fare,
-                "max_fare": m.max_fare,
-            }
-            for _, m in sorted(outcome.operators.items())
-        ],
+        "operators": [asdict(m) for _, m in sorted(outcome.operators.items())],
         "surplus": [
             {"origin": od[0], "destination": od[1], "u": u}
             for od, u in sorted(outcome.surplus.items())

@@ -5,7 +5,8 @@ A scenario is a list of edits applied left to right.  Structural edits
 copied from the network, and one network is built from it after the last
 edit; policy edits (objective modes, fixed fares, subsidies) accumulate into
 annotations consumed by the outcomes module.  Scenarios are loaded from a
-JSON document: a list of objects, each with an ``edit`` key naming the type.
+JSON document: a list of objects, each with an ``edit`` key naming the type
+and no key beyond those ``_EDITS`` lists for it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from .errors import ScenarioError, ValidationError
-from .network import DUMMY_OPERATOR, DemandTable, Link, Network
+from .network import DUMMY_OPERATOR, LINK_HEADER, DemandTable, Link, Network
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,9 @@ def apply_scenario(network: Network, demand: DemandTable,
             if node not in incident:
                 raise ScenarioError(
                     f"scenario left demand node {node} with no links")
+    # every subsidized link still exists: removing a link drops its subsidy
     for arc, gamma in annotations.subsidies.items():
-        link = network.by_arc.get(arc)
-        if link is None:
-            raise ScenarioError(f"subsidized link {arc} no longer exists")
-        if gamma > link.operating_cost + 1e-12:
+        if gamma > network.by_arc[arc].operating_cost + 1e-12:
             raise ScenarioError(
                 f"subsidy on {arc} exceeds its operating cost after edits")
     return network, demand, annotations
@@ -128,6 +127,15 @@ def _require_operators(links, operators):
     for f in operators:
         if f != DUMMY_OPERATOR and f not in owners:
             raise ScenarioError(f"edit references unknown operator {f}")
+
+
+def _require_priced(links, operator):
+    """Objective modes and fixed fares act on prices, which the platform
+    operator does not carry."""
+    if operator == DUMMY_OPERATOR:
+        raise ScenarioError(
+            f"operator {operator} is the platform, which has no prices to set a policy on")
+    _require_operators(links, (operator,))
 
 
 def _put(links, link):
@@ -196,21 +204,18 @@ def _apply_edit(links, annotations, edit):
             annotations.fixed_fare_operators -= sources
             annotations.fixed_fare_operators.add(edit.target)
     elif isinstance(edit, SetObjectivePolicy):
-        _require_operators(links, (edit.operator,))
+        _require_priced(links, edit.operator)
         if edit.mode not in ("revenue_max", "welfare_max"):
             raise ScenarioError(f"unknown objective mode {edit.mode!r}")
         annotations.objective_modes[edit.operator] = edit.mode
     elif isinstance(edit, SetFixedFare):
-        _require_operators(links, (edit.operator,))
+        _require_priced(links, edit.operator)
         if edit.flag:
             annotations.fixed_fare_operators.add(edit.operator)
         else:
             annotations.fixed_fare_operators.discard(edit.operator)
     else:
         raise ScenarioError(f"unknown edit {edit!r}")
-
-
-_EDIT_PARSERS = {}
 
 
 def _id(value) -> int:
@@ -229,76 +234,61 @@ def _number(value) -> float:
     return float(value)
 
 
-def _parser(name):
-    def wrap(fn):
-        _EDIT_PARSERS[name] = fn
-        return fn
-    return wrap
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"flag {value!r} is not a boolean")
+    return value
 
 
-@_parser("set_capacity")
-def _(obj):
-    return SetCapacity(arc=(_id(obj["tail"]), _id(obj["head"])),
-                       capacity=_number(obj["capacity"]))
+def _only(obj, keys):
+    """``obj`` itself, a JSON object holding no key outside ``keys``;
+    ValueError naming the stray keys otherwise."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{obj!r} is not an object")
+    stray = sorted(set(obj) - set(keys))
+    if stray:
+        raise ValueError(f"unknown keys {stray}")
+    return obj
 
 
-@_parser("scale_costs")
-def _(obj):
-    return ScaleCosts(operator=_id(obj["operator"]), factor=_number(obj["factor"]))
+def _arc(obj) -> tuple[int, int]:
+    return _id(obj["tail"]), _id(obj["head"])
 
 
-@_parser("scale_travel")
-def _(obj):
-    operator = obj.get("operator")
-    return ScaleTravel(operator=None if operator is None else _id(operator),
-                       factor=_number(obj["factor"]))
+def _link(obj) -> Link:
+    _only(obj, LINK_HEADER)
+    return Link(*_arc(obj), _number(obj["travel_cost"]), _number(obj["operating_cost"]),
+                _number(obj["capacity"]), _id(obj["owner"]))
 
 
-@_parser("surcharge")
-def _(obj):
-    return Surcharge(operator=_id(obj["operator"]), delta=_number(obj["delta"]))
-
-
-@_parser("subsidy")
-def _(obj):
-    return Subsidy(arc=(_id(obj["tail"]), _id(obj["head"])),
-                   gamma=_number(obj["gamma"]))
-
-
-@_parser("add_links")
-def _(obj):
-    links = tuple(
-        Link(tail=_id(l["tail"]), head=_id(l["head"]),
-             travel_cost=_number(l["travel_cost"]),
-             operating_cost=_number(l["operating_cost"]),
-             capacity=_number(l["capacity"]), owner=_id(l["owner"]))
-        for l in obj["links"])
-    return AddLinks(links=links)
-
-
-@_parser("remove_links")
-def _(obj):
-    return RemoveLinks(arcs=tuple((_id(a["tail"]), _id(a["head"]))
-                                  for a in obj["links"]))
-
-
-@_parser("merge_operators")
-def _(obj):
-    return MergeOperators(sources=tuple(_id(f) for f in obj["sources"]),
-                          target=_id(obj["target"]))
-
-
-@_parser("set_objective_policy")
-def _(obj):
-    return SetObjectivePolicy(operator=_id(obj["operator"]), mode=str(obj["mode"]))
-
-
-@_parser("set_fixed_fare")
-def _(obj):
-    flag = obj.get("flag", True)
-    if not isinstance(flag, bool):
-        raise ValueError(f"flag {flag!r} is not a boolean")
-    return SetFixedFare(operator=_id(obj["operator"]), flag=flag)
+# JSON edit name -> (the keys its object may hold besides "edit", its builder)
+_EDITS = {
+    "set_capacity": (("tail", "head", "capacity"),
+                     lambda o: SetCapacity(_arc(o), _number(o["capacity"]))),
+    "scale_costs": (("operator", "factor"),
+                    lambda o: ScaleCosts(_id(o["operator"]), _number(o["factor"]))),
+    "scale_travel": (("operator", "factor"),
+                     lambda o: ScaleTravel(None if o.get("operator") is None
+                                           else _id(o["operator"]), _number(o["factor"]))),
+    "surcharge": (("operator", "delta"),
+                  lambda o: Surcharge(_id(o["operator"]), _number(o["delta"]))),
+    "subsidy": (("tail", "head", "gamma"),
+                lambda o: Subsidy(_arc(o), _number(o["gamma"]))),
+    "add_links": (("links",),
+                  lambda o: AddLinks(tuple(_link(l) for l in o["links"]))),
+    "remove_links": (("links",),
+                     lambda o: RemoveLinks(tuple(_arc(_only(a, ("tail", "head")))
+                                                 for a in o["links"]))),
+    "merge_operators": (("sources", "target"),
+                        lambda o: MergeOperators(tuple(_id(f) for f in o["sources"]),
+                                                 _id(o["target"]))),
+    "set_objective_policy": (("operator", "mode"),
+                             lambda o: SetObjectivePolicy(_id(o["operator"]),
+                                                          str(o["mode"]))),
+    "set_fixed_fare": (("operator", "flag"),
+                       lambda o: SetFixedFare(_id(o["operator"]),
+                                              _flag(o.get("flag", True)))),
+}
 
 
 def load_scenario(source) -> Scenario:
@@ -315,11 +305,12 @@ def load_scenario(source) -> Scenario:
     edits = []
     for i, obj in enumerate(doc):
         kind = obj.get("edit") if isinstance(obj, dict) else None
-        parser = _EDIT_PARSERS.get(kind) if isinstance(kind, str) else None
-        if parser is None:
+        spec = _EDITS.get(kind) if isinstance(kind, str) else None
+        if spec is None:
             raise ScenarioError(f"entry {i}: unknown edit type {kind!r}")
+        keys, build = spec
         try:
-            edits.append(parser(obj))
+            edits.append(build(_only(obj, ("edit", *keys))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"entry {i}: malformed {kind} edit: {exc}") from exc
     return Scenario(edits=tuple(edits))

@@ -311,6 +311,17 @@ NETWORK_HEADER = b"tail,head,travel_cost,operating_cost,capacity,owner\n"
                  None, "scenario", "entry 0: malformed set_capacity", id="boolean-capacity"),
     pytest.param(["run"], {"edit": "subsidy", "tail": 1, "head": 3, "gamma": False}, None,
                  "scenario", "entry 0: malformed subsidy", id="boolean-gamma"),
+    pytest.param(["run"], {"edit": "scale_travel", "operater": 3, "factor": 2}, None,
+                 "scenario", "entry 0: malformed scale_travel edit: unknown keys ['operater']",
+                 id="stray-operator-key"),
+    pytest.param(["run"], {"edit": "set_fixed_fare", "operator": 1, "flg": False}, None,
+                 "scenario", "entry 0: malformed set_fixed_fare edit: unknown keys ['flg']",
+                 id="stray-flag-key"),
+    pytest.param(["run"], {"edit": "set_objective_policy", "operator": 0,
+                           "mode": "revenue_max"}, None,
+                 "scenario", "operator 0 is the platform", id="platform-objective-mode"),
+    pytest.param(["run", "--fixed-fare", "0"], None, None, "validation",
+                 "--fixed-fare: operator 0 is the platform", id="platform-fixed-fare"),
     pytest.param(["run", "--fixed-fare", "42"], None, None, "validation",
                  "--fixed-fare: unknown operator 42", id="unknown-fixed-fare"),
     # operator 2 is gone once the scenario has merged it into operator 1

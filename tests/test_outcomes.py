@@ -340,6 +340,13 @@ def test_acquisition_policy_objective(fig5_pipeline):
         pytest.approx(1000)
 
 
+def test_objective_policy_rejects_the_platform_operator():
+    # operator 0 carries no price, so a mode for it would only count its
+    # consumer surplus twice or add an objective no operator asked for
+    with pytest.raises(ValueError, match="platform"):
+        ObjectivePolicy(per_operator={0: WELFARE_MAX, 1: WELFARE_MAX})
+
+
 def test_avg_fare_identity(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, system = fig5_pipeline[0], fig5_pipeline[3]

@@ -1,13 +1,16 @@
 import io
 import json
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from maas_market import (Link, Scenario, apply_scenario, build_sioux_falls,
                          fig5, load_scenario)
 from maas_market.errors import ScenarioError, ValidationError
-from maas_market.scenario import (AddLinks, MergeOperators, RemoveLinks,
+from maas_market.scenario import (_EDITS, AddLinks, MergeOperators, RemoveLinks,
                                   ScaleCosts, ScaleTravel, SetCapacity,
                                   SetFixedFare, SetObjectivePolicy, Subsidy,
                                   Surcharge)
@@ -104,6 +107,36 @@ def test_policy_edits(instance):
     _, _, ann = apply_scenario(network, demand, scenario)
     assert ann.objective_modes == {1: "revenue_max", 3: "welfare_max"}
     assert ann.fixed_fare_operators == set()
+
+
+@pytest.mark.parametrize("edit", [SetObjectivePolicy(0, "welfare_max"),
+                                  SetObjectivePolicy(0, "revenue_max"),
+                                  SetFixedFare(0, True)])
+def test_platform_operator_takes_no_price_policy(instance, edit):
+    # the platform carries no price: a welfare mode for it would count
+    # consumer surplus twice, a revenue mode would make a custom vertex
+    network, demand = instance
+    with pytest.raises(ScenarioError, match="operator 0 is the platform"):
+        apply_scenario(network, demand,
+                       Scenario(edits=(SetObjectivePolicy(1, "welfare_max"), edit)))
+
+
+def test_platform_operator_cost_edits_allowed(instance):
+    network, demand = instance
+    edits = (ScaleTravel(0, 2.0), ScaleCosts(0, 2.0), Surcharge(0, 1.5))
+    net2, _, _ = apply_scenario(network, demand, Scenario(edits=edits))
+    assert net2.by_arc[(21, 22)].operating_cost == 1.5
+    assert net2.by_arc[(1, 21)] == network.by_arc[(1, 21)]
+
+
+def test_removed_link_takes_its_subsidy_along(instance):
+    network, demand = instance
+    link = network.by_arc[(23, 4)]
+    edits = (Subsidy(link.arc, 50.0), RemoveLinks((link.arc,)),
+             AddLinks((replace(link, operating_cost=10.0),)))
+    net2, _, ann = apply_scenario(network, demand, Scenario(edits=edits))
+    assert ann.subsidies == {}
+    assert net2.by_arc[link.arc].operating_cost == 10.0
 
 
 def test_owner_and_policy_edits_keep_link_order_and_costs(instance):
@@ -217,3 +250,54 @@ def test_load_scenario_rejects_unknown():
         load_scenario(io.StringIO(json.dumps([{"edit": "nuke"}])))
     with pytest.raises(ScenarioError):
         load_scenario(io.StringIO(json.dumps({"edit": "set_capacity"})))
+
+
+NEW_LINK = {"tail": 3, "head": 4, "travel_cost": 1, "operating_cost": 2,
+            "capacity": 10, "owner": 7}
+
+EDIT_JSON = [
+    ({"edit": "set_capacity", "tail": 1, "head": 21, "capacity": 500},
+     SetCapacity((1, 21), 500.0)),
+    ({"edit": "scale_costs", "operator": 1, "factor": 0.5}, ScaleCosts(1, 0.5)),
+    ({"edit": "scale_travel", "operator": 3, "factor": 2}, ScaleTravel(3, 2.0)),
+    ({"edit": "surcharge", "operator": 3, "delta": 25}, Surcharge(3, 25.0)),
+    ({"edit": "subsidy", "tail": 23, "head": 4, "gamma": 5}, Subsidy((23, 4), 5.0)),
+    ({"edit": "add_links", "links": [NEW_LINK]},
+     AddLinks((Link(3, 4, travel_cost=1.0, operating_cost=2.0, capacity=10.0, owner=7),))),
+    ({"edit": "remove_links", "links": [{"tail": 22, "head": 3}, {"tail": 1, "head": 6}]},
+     RemoveLinks(((22, 3), (1, 6)))),
+    ({"edit": "merge_operators", "sources": [1, 3], "target": 1}, MergeOperators((1, 3), 1)),
+    ({"edit": "set_objective_policy", "operator": 1, "mode": "welfare_max"},
+     SetObjectivePolicy(1, "welfare_max")),
+    ({"edit": "set_fixed_fare", "operator": 4, "flag": False}, SetFixedFare(4, False)),
+]
+
+
+def test_every_edit_kind_is_parsed_below():
+    assert sorted(obj["edit"] for obj, _ in EDIT_JSON) == sorted(_EDITS)
+
+
+@pytest.mark.parametrize("obj, edit", EDIT_JSON, ids=[o["edit"] for o, _ in EDIT_JSON])
+def test_load_each_edit_kind(obj, edit):
+    assert load_scenario(io.StringIO(json.dumps([obj]))) == Scenario(edits=(edit,))
+
+
+# stray keys in an edit object itself are in the CLI's bad-input table
+@pytest.mark.parametrize("obj, stray", [
+    ({"edit": "add_links", "links": [NEW_LINK | {"ownr": 8}]}, ["ownr"]),
+    ({"edit": "remove_links", "links": [{"tail": 22, "head": 3, "capacity": 0}]},
+     ["capacity"]),
+], ids=["link", "arc"])
+def test_load_scenario_rejects_stray_keys(obj, stray):
+    message = f"entry 0: malformed {obj['edit']} edit: unknown keys {stray}"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(io.StringIO(json.dumps([obj])))
+
+
+def test_readme_scenario_example_applies_to_fig5(instance):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    network, demand = instance
+    _, _, ann = apply_scenario(network, demand, load_scenario(io.StringIO(block)))
+    assert ann.fixed_fare_operators == {1}
+    assert ann.subsidies == {(23, 4): 5.0}
