@@ -31,8 +31,8 @@ from .closedform import (CoopCompeteInstance, SmallVsLargeInstance,
 from .errors import MaasMarketError, PathCapExceeded, ValidationError
 from .matching import (Path, decompose_flows, dump_commodity_flows,
                        dump_link_flows, dump_link_status, solve_matching)
-from .network import (DUMMY_OPERATOR, dump_demand, dump_network, load_demand,
-                      load_network, write_csv)
+from .network import (dump_demand, dump_network, load_demand, load_network,
+                      require_priced, write_csv)
 from .outcomes import (BUYER_OPTIMAL, SELLER_OPTIMAL, ObjectivePolicy,
                        OutcomeOptions, build_outcome_lp, report, solve_outcome)
 from .randnet import random_instance
@@ -60,9 +60,7 @@ def _load_inputs(args):
         scenario = load_scenario(args.scenario)
         network, demand, annotations = apply_scenario(network, demand, scenario)
     for f in getattr(args, "fixed_fare", None) or []:
-        if f == DUMMY_OPERATOR:
-            raise ValidationError(
-                f"--fixed-fare: operator {f} is the platform, which has no fare")
+        require_priced((f,), "--fixed-fare", ValidationError)
         if f not in network.operators:
             raise ValidationError(f"--fixed-fare: unknown operator {f}")
         annotations.fixed_fare_operators.add(f)

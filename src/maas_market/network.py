@@ -18,6 +18,14 @@ from .errors import ValidationError
 
 DUMMY_OPERATOR = 0
 
+
+def require_priced(operators, setting: str, error=ValueError) -> None:
+    """``error`` when ``operators`` holds the platform operator: it carries
+    no price variable, so ``setting`` means nothing for it."""
+    if DUMMY_OPERATOR in operators:
+        raise error(f"{setting}: operator {DUMMY_OPERATOR} is the platform, which has no prices")
+
+
 LINK_HEADER = ["tail", "head", "travel_cost", "operating_cost", "capacity", "owner"]
 DEMAND_HEADER = ["origin", "destination", "demand", "utility"]
 

@@ -25,13 +25,13 @@ adds only its fixed-fare rows and its objective.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import SolveNumericalError
 from .matching import MatchingSolution
-from .network import DUMMY_OPERATOR
+from .network import require_priced
 from .solve import EQ, GE, LinearProgram, solve_lp
 from .stability import ConstraintSystem
 
@@ -53,9 +53,8 @@ class ObjectivePolicy:
             raise ValueError("set exactly one of global_mode / per_operator")
         if self.global_mode not in (None, BUYER_OPTIMAL, SELLER_OPTIMAL):
             raise ValueError(f"unknown global mode {self.global_mode!r}")
+        require_priced(self.per_operator, "per_operator")
         for f, mode in self.per_operator.items():
-            if f == DUMMY_OPERATOR:
-                raise ValueError(f"operator {f} is the platform, which has no prices")
             if mode not in (REVENUE_MAX, WELFARE_MAX):
                 raise ValueError(f"unknown operator mode {mode!r} for {f}")
 
@@ -64,6 +63,9 @@ class ObjectivePolicy:
 class OutcomeOptions:
     fixed_fare_operators: frozenset[int] = frozenset()
     subsidies: dict = field(default_factory=dict)  # arc -> gamma
+
+    def __post_init__(self):
+        require_priced(self.fixed_fare_operators, "fixed_fare_operators")
 
 
 @dataclass
@@ -88,6 +90,9 @@ class OperatorMetrics:
     avg_fare: float
     min_fare: float
     max_fare: float
+
+
+_METRIC_FIELDS = tuple(f.name for f in fields(OperatorMetrics))  # report() row order
 
 
 @dataclass
@@ -313,7 +318,8 @@ def report(outcome: StableOutcome, matching: MatchingSolution | None = None) -> 
         "objective_label": outcome.objective_label,
         "consumer_surplus": outcome.consumer_surplus,
         "avg_services_per_traveler": outcome.avg_services_per_traveler,
-        "operators": [asdict(m) for _, m in sorted(outcome.operators.items())],
+        "operators": [{k: getattr(m, k) for k in _METRIC_FIELDS}
+                      for _, m in sorted(outcome.operators.items())],
         "surplus": [
             {"origin": od[0], "destination": od[1], "u": u}
             for od, u in sorted(outcome.surplus.items())

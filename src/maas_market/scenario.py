@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from .errors import ScenarioError, ValidationError
-from .network import DUMMY_OPERATOR, LINK_HEADER, DemandTable, Link, Network
+from .network import DUMMY_OPERATOR, LINK_HEADER, DemandTable, Link, Network, require_priced
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,6 @@ def _require_operators(links, operators):
             raise ScenarioError(f"edit references unknown operator {f}")
 
 
-def _require_priced(links, operator):
-    """Objective modes and fixed fares act on prices, which the platform
-    operator does not carry."""
-    if operator == DUMMY_OPERATOR:
-        raise ScenarioError(
-            f"operator {operator} is the platform, which has no prices to set a policy on")
-    _require_operators(links, (operator,))
-
-
 def _put(links, link):
     link.validate()
     links[link.arc] = link
@@ -191,8 +182,7 @@ def _apply_edit(links, annotations, edit):
         annotations.subsidies = {a: g for a, g in annotations.subsidies.items()
                                  if a not in arcs}
     elif isinstance(edit, MergeOperators):
-        if edit.target == DUMMY_OPERATOR or DUMMY_OPERATOR in edit.sources:
-            raise ScenarioError("merge cannot involve the platform operator")
+        require_priced((edit.target, *edit.sources), "merge_operators", ScenarioError)
         _rewrite(links, edit.sources, lambda l: replace(l, owner=edit.target))
         sources = set(edit.sources)
         modes = annotations.objective_modes
@@ -204,12 +194,14 @@ def _apply_edit(links, annotations, edit):
             annotations.fixed_fare_operators -= sources
             annotations.fixed_fare_operators.add(edit.target)
     elif isinstance(edit, SetObjectivePolicy):
-        _require_priced(links, edit.operator)
+        require_priced((edit.operator,), "set_objective_policy", ScenarioError)
+        _require_operators(links, (edit.operator,))
         if edit.mode not in ("revenue_max", "welfare_max"):
             raise ScenarioError(f"unknown objective mode {edit.mode!r}")
         annotations.objective_modes[edit.operator] = edit.mode
     elif isinstance(edit, SetFixedFare):
-        _require_priced(links, edit.operator)
+        require_priced((edit.operator,), "set_fixed_fare", ScenarioError)
+        _require_operators(links, (edit.operator,))
         if edit.flag:
             annotations.fixed_fare_operators.add(edit.operator)
         else:
@@ -249,6 +241,14 @@ def _only(obj, keys):
     if stray:
         raise ValueError(f"unknown keys {stray}")
     return obj
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object; ValueError on a repeated key, of which json keeps the last."""
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated keys {sorted({k for k in keys if keys.count(k) > 1})}")
+    return dict(pairs)
 
 
 def _arc(obj) -> tuple[int, int]:
@@ -297,7 +297,7 @@ def load_scenario(source) -> Scenario:
     with (nullcontext(source) if hasattr(source, "read")
           else open(source, encoding="utf-8")) as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
             raise ScenarioError(f"scenario is not a JSON document: {exc}") from exc
     if not isinstance(doc, list):

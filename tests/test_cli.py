@@ -337,6 +337,11 @@ NETWORK_HEADER = b"tail,head,travel_cost,operating_cost,capacity,owner\n"
                  "entry 0: unknown edit type ['x']", id="list-edit-type"),
     pytest.param(["run", "--scenario"], None, b'[{"edit": "set_capacity", "tail"',
                  "scenario", "scenario is not a JSON document", id="truncated-scenario"),
+    pytest.param(["run", "--scenario"], None,
+                 b'[{"edit": "set_capacity", "tail": 1, "head": 21, "capacity": 500, '
+                 b'"capacity": 5}]', "scenario",
+                 "scenario is not a JSON document: repeated keys ['capacity']",
+                 id="repeated-key"),
     pytest.param(["run", "--scenario"], None, b"\xff\xfe[]", "scenario",
                  "scenario is not a JSON document", id="utf16-scenario"),
     pytest.param(["run", "--scenario"], None, b"[" * 100_000, "scenario",

@@ -347,6 +347,11 @@ def test_objective_policy_rejects_the_platform_operator():
         ObjectivePolicy(per_operator={0: WELFARE_MAX, 1: WELFARE_MAX})
 
 
+def test_outcome_options_reject_a_fixed_fare_for_the_platform():
+    with pytest.raises(ValueError, match="operator 0 is the platform"):
+        OutcomeOptions(fixed_fare_operators=frozenset({0, 1}))
+
+
 def test_avg_fare_identity(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, system = fig5_pipeline[0], fig5_pipeline[3]
