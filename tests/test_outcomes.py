@@ -340,14 +340,11 @@ def test_acquisition_policy_objective(fig5_pipeline):
         pytest.approx(1000)
 
 
-def test_objective_policy_rejects_the_platform_operator():
+def test_policy_objects_reject_the_platform_operator():
     # operator 0 carries no price, so a mode for it would only count its
     # consumer surplus twice or add an objective no operator asked for
-    with pytest.raises(ValueError, match="platform"):
+    with pytest.raises(ValueError, match="operator 0 is the platform"):
         ObjectivePolicy(per_operator={0: WELFARE_MAX, 1: WELFARE_MAX})
-
-
-def test_outcome_options_reject_a_fixed_fare_for_the_platform():
     with pytest.raises(ValueError, match="operator 0 is the platform"):
         OutcomeOptions(fixed_fare_operators=frozenset({0, 1}))
 

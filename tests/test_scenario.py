@@ -111,7 +111,8 @@ def test_policy_edits(instance):
 
 @pytest.mark.parametrize("edit", [SetObjectivePolicy(0, "welfare_max"),
                                   SetObjectivePolicy(0, "revenue_max"),
-                                  SetFixedFare(0, True)])
+                                  SetFixedFare(0, True), MergeOperators((0,), 1),
+                                  MergeOperators((1,), 0)])
 def test_platform_operator_takes_no_price_policy(instance, edit):
     # the platform carries no price: a welfare mode for it would count
     # consumer surplus twice, a revenue mode would make a custom vertex
@@ -119,14 +120,6 @@ def test_platform_operator_takes_no_price_policy(instance, edit):
     with pytest.raises(ScenarioError, match="operator 0 is the platform"):
         apply_scenario(network, demand,
                        Scenario(edits=(SetObjectivePolicy(1, "welfare_max"), edit)))
-
-
-@pytest.mark.parametrize("edit", [MergeOperators((0,), 1), MergeOperators((1,), 0)],
-                         ids=["source", "target"])
-def test_platform_operator_takes_no_merge(instance, edit):
-    network, demand = instance
-    with pytest.raises(ScenarioError, match="operator 0 is the platform"):
-        apply_scenario(network, demand, Scenario(edits=(edit,)))
 
 
 def test_platform_operator_cost_edits_allowed(instance):
@@ -300,14 +293,6 @@ def test_load_scenario_rejects_stray_keys(obj, stray):
     message = f"entry 0: malformed {obj['edit']} edit: unknown keys {stray}"
     with pytest.raises(ScenarioError, match=re.escape(message)):
         load_scenario(io.StringIO(json.dumps([obj])))
-
-
-# a repeated key in an edit object itself is in the CLI's bad-input table
-def test_load_scenario_rejects_repeated_keys_in_a_link():
-    doc = ('[{"edit": "add_links", "links": [{"tail": 3, "head": 4, "travel_cost": 1, '
-           '"operating_cost": 2, "capacity": 10, "owner": 7, "owner": 8}]}]')
-    with pytest.raises(ScenarioError, match=re.escape("repeated keys ['owner']")):
-        load_scenario(io.StringIO(doc))
 
 
 def test_readme_scenario_example_applies_to_fig5(instance):
