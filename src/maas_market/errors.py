@@ -67,10 +67,11 @@ class SubcoalitionCapExceeded(ResourceLimitExceeded):
 
 
 class StabilityToleranceError(MaasMarketError):
-    """A decomposition support path is not omega-minimal beyond tolerance.
+    """A flow-carrying path is not omega-minimal beyond the tie tolerance.
 
-    Signals an inconsistency between solver tolerances and the tie tolerance
-    used for optimal-path classification.
+    Either of two causes raises it: solver tolerances against the tie
+    tolerance, or capacity duals that ignore closed links, under which a
+    path through a closed link can undercut a flow path by whole cost units.
     """
 
     error_class = "tolerance"

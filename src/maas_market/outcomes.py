@@ -16,11 +16,13 @@ first solve is cold.  Where revenues tie, prices are not unique, and a warm
 stage may stop at another optimal price split than a cold one would;
 revenues and the objective do not move.
 
-The rows that no policy or option changes -- the surplus equalities, the
-operator covers and the stability rows -- are built once per
-``ConstraintSystem`` and kept in its cache, as its price variables are.
-Each model starts from that very :class:`~maas_market.solve.Rows` value and
-adds only its fixed-fare rows and its objective.
+The models of one ``ConstraintSystem`` share one frame, laid out in one
+walk over its groups and kept in its cache: the surplus and price columns,
+each operator's revenue terms, and the rows that no policy or option
+changes -- the surplus equalities, the operator covers and the stability
+rows.  Each model starts from that very :class:`~maas_market.solve.Rows`
+value and adds only its fixed-fare rows and its objective.  The frame is
+read-only, as systems are.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ class OutcomeOptions:
 
 @dataclass
 class OutcomeModel:
+    """One objective's LP over a system's frame.  ``u_index``, ``p_index``,
+    ``revenue_terms`` and the rows ``lp`` starts from are the frame's, shared
+    by every model of the system, so they are read-only, as systems are."""
+
     lp: LinearProgram
     system: ConstraintSystem
     u_index: dict          # od -> column
@@ -114,15 +120,16 @@ def build_outcome_lp(
 ) -> OutcomeModel:
     """Assemble the stable-outcome LP for one objective policy.
 
-    The rows that no policy or option changes are built once per system and
-    kept in its cache; each model starts from them and adds only its
-    fixed-fare rows and its objective.
+    The models of one system share its frame: the columns, the revenue terms
+    and the rows that no policy or option changes, built on the first call
+    and kept in the system's cache.  Like the system, the frame is
+    read-only; each model adds only its fixed-fare rows and its objective.
     """
-    u_index, p_index, revenue_terms = _columns(system)
+    u_index, p_index, revenue_terms, rows = system.cached(
+        "outcome_frame", lambda: _frame(system))
     n = len(u_index) + len(p_index)
-    rows = system.cached("outcome_rows",
-                         lambda: _policy_free_rows(system, u_index, p_index))
-    lp = LinearProgram(num_vars=n, objective=[0.0] * n, maximize=True, rows=rows)
+    objective, label = _objective_vector(system, policy, u_index, revenue_terms, n)
+    lp = LinearProgram(num_vars=n, objective=objective, maximize=True, rows=rows)
 
     # fixed-fare tying: one common price across all paths of a flagged
     # operator, p_a - p_b = 0 per adjacent pair (a, b) of its price columns
@@ -133,32 +140,18 @@ def build_outcome_lp(
     if pairs:
         lp.add_rows(range(0, 2 * len(pairs) + 1, 2), [j for pair in pairs for j in pair],
                     [1.0, -1.0] * len(pairs), EQ, [0.0] * len(pairs))
-
-    objective, label = _objective_vector(system, policy, u_index, revenue_terms, n)
-    lp.objective = objective
     return OutcomeModel(lp=lp, system=system, u_index=u_index,
                         p_index=p_index, objective_label=label,
                         options=options, revenue_terms=revenue_terms)
 
 
-def _columns(system: ConstraintSystem):
-    """The column of each surplus and price variable, and each operator's
-    revenue terms ``[(column, z_r)]`` in column order."""
+def _frame(system: ConstraintSystem):
+    """``(u_index, p_index, revenue_terms, rows)``: the column of each
+    surplus and price variable, each operator's revenue terms ``[(column,
+    z_r)]`` in column order, and the surplus equalities, the operator covers
+    and the stability rows in one block."""
     u_index = {od: i for i, od in enumerate(sorted(system.groups))}
-    p_vars = system.price_variables()
-    p_index = {key: len(u_index) + i for i, key in enumerate(p_vars)}
-    flows = {(od, nodes): z for terms, _ in system.covers.values()
-             for od, nodes, z in terms}
-    revenue_terms = {}
-    for (od, nodes, f), col in p_index.items():
-        revenue_terms.setdefault(f, []).append((col, flows.get((od, nodes), 0.0)))
-    return u_index, p_index, revenue_terms
-
-
-def _policy_free_rows(system: ConstraintSystem, u_index, p_index):
-    """The surplus equalities, the operator covers and the stability rows,
-    in one block: the rows of the outcome LP that no policy or option
-    changes."""
+    p_index, revenue_terms = {}, {}
     start, index, value, rhs = [0], [], [], []
 
     def add(columns, coefficients, bound):
@@ -170,15 +163,17 @@ def _policy_free_rows(system: ConstraintSystem, u_index, p_index):
     # surplus equalities: u_s + sum_f p_rf = U_s - travel cost, per optimal path
     for od, pset in sorted(system.groups.items()):
         for info in pset.paths:
-            columns = [u_index[od]] + [p_index[(od, info.nodes, f)]
-                                       for f in sorted(info.operators)]
+            columns = [u_index[od]]
+            for f in sorted(info.operators):
+                col = p_index[(od, info.nodes, f)] = len(u_index) + len(p_index)
+                revenue_terms.setdefault(f, []).append((col, info.flow))
+                columns.append(col)
             add(columns, [1.0] * len(columns), pset.utility - info.travel_cost)
     equalities = len(rhs)
 
     # operator cost covers: sum z_r p_rf >= operated cost net of subsidies
-    for f in sorted(system.covers):
-        terms, bound = system.covers[f]
-        positive = [(p_index[(od, nodes, f)], z) for od, nodes, z in terms if z > 0]
+    for f, (_, bound) in sorted(system.covers.items()):
+        positive = [(col, z) for col, z in revenue_terms.get(f, ()) if z > 0]
         add([j for j, _ in positive], [z for _, z in positive], bound)
 
     for row in system.stability_rows:
@@ -187,15 +182,15 @@ def _policy_free_rows(system: ConstraintSystem, u_index, p_index):
         add(columns, [1.0] * len(columns), row.bound)
     lp = LinearProgram(num_vars=len(u_index) + len(p_index), objective=[])
     lp.add_rows(start, index, value, [EQ] * equalities + [GE] * (len(rhs) - equalities), rhs)
-    return lp.rows
+    return u_index, p_index, revenue_terms, lp.rows
 
 
 def _objective_vector(system, policy, u_index, revenue_terms, n):
     obj = [0.0] * n
 
-    def add_surplus(weight=1.0):
+    def add_surplus():
         for col in u_index.values():
-            obj[col] += weight
+            obj[col] += 1.0
 
     def add_revenue(operator):
         for col, z in revenue_terms.get(operator, ()):

@@ -49,7 +49,7 @@ and the sorted subsidies: everything the covers read beyond the owner-free
 key, operating costs included because omega leaves out those of operated
 links.  A repeated owner assignment with the same cover inputs, such as a
 fixed-fare or objective-mode scenario on the base, gets the very system
-generated before, with the outcome rows its cache holds; a subsidy scenario
+generated before, with the outcome frame its cache holds; a subsidy scenario
 shares the rows and builds only its covers.  Systems are therefore shared
 and must be treated as read-only.
 """
@@ -123,18 +123,6 @@ class ConstraintSystem(Memo):
     groups: dict                      # od -> OptimalPathSet
     covers: dict                      # operator -> (terms, rhs); terms: [(od, nodes, z_r)]
     stability_rows: list = field(default_factory=list)
-
-    def price_variables(self):
-        """All (od, path nodes, operator) triples carrying a price variable.
-
-        Built on the first call; every later call returns the same list, so
-        the outcome models of one system share its key tuples.
-        """
-        return self.cached("price_variables", lambda: [
-            (od, info.nodes, f)
-            for od in sorted(self.groups)
-            for info in self.groups[od].paths
-            for f in sorted(info.operators)])
 
     def render_text(self) -> str:
         lines = []

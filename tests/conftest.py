@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -80,6 +81,32 @@ def float_capacity_shortfall():
                                   DemandEntry(1, 3, 25.4, 100),
                                   DemandEntry(3, 4, 8.0, 100)))
     return network, demand
+
+
+# a tie-rich k x k grid: integer costs, some links of capacity 30, ``ops``
+# owners and four ODs; returns (network, demand)
+def grid(seed, k=4, ops=3):
+    rng = random.Random(seed)
+    node = lambda i, j: i * k + j + 1
+    links = []
+    for i in range(k):
+        for j in range(k):
+            for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+                a, b = i + di, j + dj
+                if 0 <= a < k and 0 <= b < k:
+                    links.append(Link(node(i, j), node(a, b),
+                        travel_cost=float(rng.randint(1, 3)),
+                        operating_cost=float(rng.randint(0, 20)),
+                        capacity=float(rng.choice([1e6, 1e6, 30.0])),
+                        owner=rng.randint(1, ops)))
+    ods = set()
+    while len(ods) < 4:
+        o, d = rng.sample(range(1, k * k + 1), 2); ods.add((o, d))
+    entries = tuple(DemandEntry(o, d, demand=float(rng.randint(5, 40)),
+                                utility=float(rng.randint(15, 30)))
+                    for o, d in sorted(ods))
+    return (Network(nodes=frozenset(range(1, k * k + 1)), links=tuple(links)),
+            DemandTable(entries=entries))
 
 
 @pytest.fixture(scope="session")

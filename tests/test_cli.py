@@ -282,6 +282,7 @@ LEMMA1 = ["lemma1", "--t12", "1", "--t23", "1", "--t13", "3", "--c12", "10",
 
 
 NETWORK_HEADER = b"tail,head,travel_cost,operating_cost,capacity,owner\n"
+DEMAND_HEADER = b"origin,destination,demand,utility\n"
 
 
 # ``edit`` is written as a one-edit scenario; ``raw`` is the content of the
@@ -349,6 +350,15 @@ NETWORK_HEADER = b"tail,head,travel_cost,operating_cost,capacity,owner\n"
     pytest.param(["run", "--network"], None, NETWORK_HEADER + b"1,2,3,4,5,1,9\n",
                  "validation", "line 2: malformed row ['1', '2', '3', '4', '5', '1', '9']",
                  id="network-row-too-wide"),
+    pytest.param(["run", "--network"], None, NETWORK_HEADER + b"1,2,3,4,5,-1\n",
+                 "validation", "link (1, 2): owner must be a non-negative id",
+                 id="network-negative-owner"),
+    pytest.param(["run", "--demand"], None, DEMAND_HEADER + b"1,1,10,20\n",
+                 "validation", "OD (1, 1): origin equals destination",
+                 id="demand-origin-is-destination"),
+    pytest.param(["run", "--demand"], None, DEMAND_HEADER + b"1,3,10,-1\n",
+                 "validation", "OD (1, 3): utility must be non-negative",
+                 id="demand-negative-utility"),
     pytest.param(["run", "--network"], None,
                  NETWORK_HEADER + b"1,2,3,4,5,1\n1,3,3,4,5,\xff\n", "validation",
                  "line 3: 'utf-8' codec can't decode", id="network-not-utf8"),

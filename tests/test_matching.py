@@ -176,6 +176,13 @@ def test_origin_walk_matches_per_od_rewalk():
         assert matching.path_flows == _rewalk_per_od(demand, matching), name
 
 
+def test_walk_cancels_a_cycle_and_starts_again():
+    # the walk 1-2-3 meets node 2 again, so it cancels the cycle 2-3-2
+    residual = {(1, 2): 3.0, (2, 3): 2.0, (3, 2): 2.0, (2, 4): 3.0}
+    assert list(_walk_paths(1, {4: 3.0}, residual)) == [((1, 2, 4), 3.0)]
+    assert residual == {}
+
+
 def test_single_path_commodity():
     network = _line_network()
     demand = DemandTable(entries=(DemandEntry(1, 2, 5, 10),))

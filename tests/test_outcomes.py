@@ -87,8 +87,9 @@ def test_outcome_models_share_price_keys(fig5_pipeline):
     system = fig5_pipeline[3]
     buyer = build_outcome_lp(system, ObjectivePolicy(global_mode=BUYER_OPTIMAL))
     seller = build_outcome_lp(system, ObjectivePolicy(global_mode=SELLER_OPTIMAL))
-    assert list(buyer.p_index) == list(seller.p_index)
-    assert all(a is b for a, b in zip(buyer.p_index, seller.p_index))
+    assert buyer.p_index is seller.p_index
+    assert buyer.revenue_terms is seller.revenue_terms
+    assert buyer.lp.rows is seller.lp.rows
 
 
 def test_solve_outcome_leaves_model_unchanged(fig5_pipeline):
@@ -338,6 +339,17 @@ def test_acquisition_policy_objective(fig5_pipeline):
         assert model.lp.objective[col] == pytest.approx(1.0)
     assert model.lp.objective[model.p_index[((1, 3), (1, 3), 1)]] == \
         pytest.approx(1000)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({}, "exactly one of"),
+    ({"global_mode": BUYER_OPTIMAL, "per_operator": {1: WELFARE_MAX}}, "exactly one of"),
+    ({"global_mode": REVENUE_MAX}, "unknown global mode"),
+    ({"per_operator": {1: BUYER_OPTIMAL}}, "unknown operator mode"),
+])
+def test_objective_policy_rejects_bad_modes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ObjectivePolicy(**kwargs)
 
 
 def test_policy_objects_reject_the_platform_operator():

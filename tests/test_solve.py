@@ -272,6 +272,22 @@ def test_bounds_must_be_one_pair_of_numbers_per_column():
         solve_milp(MixedIntegerProgram(lp, frozenset({2})))
 
 
+@pytest.mark.parametrize("binary", [-1, 3])
+def test_binaries_out_of_range_are_rejected(binary):
+    lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="binary indices out of range"):
+        MixedIntegerProgram(lp, frozenset({0, binary}))
+
+
+def test_milp_without_binaries_solves_the_lp():
+    lp = LinearProgram(num_vars=2, objective=[1.0, 2.0], maximize=True)
+    lp.add_row([(0, 1.0), (1, 1.0)], LE, 4.0)
+    result, want = solve_milp(MixedIntegerProgram(lp)), solve_lp(lp)
+    assert result.status == want.status == "optimal"
+    assert result.objective == want.objective == pytest.approx(8.0)
+    assert result.x.tolist() == want.x.tolist()
+
+
 def test_rows_reject_malformed_csr_and_senses():
     lp = LinearProgram(num_vars=3, objective=[1.0, 1.0, 1.0])
     for start, index, value, rhs in (([0, 2], [0], [1.0], [0.0]),      # start past the entries
