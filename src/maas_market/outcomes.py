@@ -14,7 +14,10 @@ fixes by bounds (see :mod:`maas_market.solve`).  No row is added, so there
 is no pin of an optimum for HiGHS to find infeasible.  Only the model's
 first solve is cold.  Where revenues tie, prices are not unique, and a warm
 stage may stop at another optimal price split than a cold one would;
-revenues and the objective do not move.
+revenues and the objective do not move.  When the primary objective is the
+stages' sum (seller-optimal, or every operator at revenue-max), the last
+stage is not run: the stages before fix its revenue too, as the primary
+optimum less theirs.
 
 The models of one ``ConstraintSystem`` share one frame, laid out in one
 walk over its groups and kept in its cache: the surplus and price columns,
@@ -41,6 +44,7 @@ REVENUE_MAX = "revenue_max"
 WELFARE_MAX = "welfare_max"
 BUYER_OPTIMAL = "buyer_optimal"
 SELLER_OPTIMAL = "seller_optimal"
+_NO_TERMS = (np.zeros(0, dtype=np.intp), np.zeros(0))  # an operator on no optimal path
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ class OutcomeModel:
     p_index: dict          # (od, nodes, f) -> column
     objective_label: str
     options: OutcomeOptions
-    revenue_terms: dict    # f -> [(column, z)] over f's price columns, in column order
+    revenue_terms: dict    # f -> (f's price columns ascending, their z) as two arrays
 
 
 @dataclass
@@ -135,7 +139,7 @@ def build_outcome_lp(
     # operator, p_a - p_b = 0 per adjacent pair (a, b) of its price columns
     pairs = []
     for f in sorted(options.fixed_fare_operators):
-        cols = [col for col, _ in revenue_terms.get(f, ())]
+        cols = revenue_terms.get(f, _NO_TERMS)[0].tolist()
         pairs += zip(cols, cols[1:])
     if pairs:
         lp.add_rows(range(0, 2 * len(pairs) + 1, 2), [j for pair in pairs for j in pair],
@@ -147,11 +151,11 @@ def build_outcome_lp(
 
 def _frame(system: ConstraintSystem):
     """``(u_index, p_index, revenue_terms, rows)``: the column of each
-    surplus and price variable, each operator's revenue terms ``[(column,
-    z_r)]`` in column order, and the surplus equalities, the operator covers
-    and the stability rows in one block."""
+    surplus and price variable, each operator's price columns in ascending
+    order with their flows z_r as two arrays, and the surplus equalities,
+    the operator covers and the stability rows in one block."""
     u_index = {od: i for i, od in enumerate(sorted(system.groups))}
-    p_index, revenue_terms = {}, {}
+    p_index, terms = {}, {}
     start, index, value, rhs = [0], [], [], []
 
     def add(columns, coefficients, bound):
@@ -166,15 +170,19 @@ def _frame(system: ConstraintSystem):
             columns = [u_index[od]]
             for f in sorted(info.operators):
                 col = p_index[(od, info.nodes, f)] = len(u_index) + len(p_index)
-                revenue_terms.setdefault(f, []).append((col, info.flow))
+                terms.setdefault(f, []).append((col, info.flow))
                 columns.append(col)
             add(columns, [1.0] * len(columns), pset.utility - info.travel_cost)
     equalities = len(rhs)
+    revenue_terms = {}
+    for f, pairs in terms.items():
+        cols, z = zip(*pairs)
+        revenue_terms[f] = np.array(cols, dtype=np.intp), np.array(z, dtype=float)
 
     # operator cost covers: sum z_r p_rf >= operated cost net of subsidies
     for f, (_, bound) in sorted(system.covers.items()):
-        positive = [(col, z) for col, z in revenue_terms.get(f, ()) if z > 0]
-        add([j for j, _ in positive], [z for _, z in positive], bound)
+        cols, z = revenue_terms.get(f, _NO_TERMS)
+        add(cols[z > 0].tolist(), z[z > 0].tolist(), bound)
 
     for row in system.stability_rows:
         columns = [u_index[row.group]] + [p_index[(row.group, nodes, f)]
@@ -186,30 +194,20 @@ def _frame(system: ConstraintSystem):
 
 
 def _objective_vector(system, policy, u_index, revenue_terms, n):
-    obj = [0.0] * n
-
-    def add_surplus():
-        for col in u_index.values():
-            obj[col] += 1.0
-
-    def add_revenue(operator):
-        for col, z in revenue_terms.get(operator, ()):
-            obj[col] += z
-
     if policy.global_mode == BUYER_OPTIMAL:
-        add_surplus()
-        return obj, BUYER_OPTIMAL
-    if policy.global_mode == SELLER_OPTIMAL:
-        for f in system.covers:
-            add_revenue(f)
-        return obj, SELLER_OPTIMAL
-    for f, mode in sorted(policy.per_operator.items()):
+        modes = [(None, WELFARE_MAX)]
+    elif policy.global_mode == SELLER_OPTIMAL:
+        modes = [(f, REVENUE_MAX) for f in system.covers]
+    else:
+        modes = sorted(policy.per_operator.items())
+    obj = np.zeros(n)
+    for f, mode in modes:
         if mode == REVENUE_MAX:
-            add_revenue(f)
+            cols, z = revenue_terms.get(f, _NO_TERMS)
+            obj[cols] += z
         else:
-            add_surplus()
-    label = ",".join(f"{f}:{m}" for f, m in sorted(policy.per_operator.items()))
-    return obj, label
+            obj[:len(u_index)] += 1.0  # the surplus columns come first
+    return obj, policy.global_mode or ",".join(f"{f}:{m}" for f, m in modes)
 
 
 def solve_outcome(
@@ -231,11 +229,8 @@ def solve_outcome(
     if result.status == "unbounded":
         raise SolveNumericalError(
             "stable-outcome LP unbounded: surplus equalities missing a variable")
-    objective = result.objective
-    x = result.x
-    if tie_break:
-        x = _lexicographic_revenue_tiebreak(model, result)
-    return _assemble_outcome(model, objective, x, matching, network)
+    x = _lexicographic_revenue_tiebreak(model, result) if tie_break else result.x
+    return _assemble_outcome(model, result.objective, x, matching, network)
 
 
 def _lexicographic_revenue_tiebreak(model, primary):
@@ -243,17 +238,20 @@ def _lexicographic_revenue_tiebreak(model, primary):
     optimal face of the primary objective and of the stages before.
 
     ``primary`` is the optimal result of ``model.lp``; each stage re-solves
-    warm from the stage before, on the same rows.  Returns the last stage's
-    solution, or the primary one when no operator earns revenue.  ``model``
-    is unchanged.
+    warm from the stage before, on the same rows.  The last is not run when
+    the primary objective is the stages' sum, which fixes its revenue.
+    Returns the last run stage's x, or the primary one's.  ``model`` is unchanged.
     """
-    result = primary
+    stages = {}
     for f in sorted(model.system.covers):
-        terms = model.revenue_terms.get(f, ())
-        objective = np.zeros(model.lp.num_vars)
-        objective[np.array([c for c, _ in terms], dtype=np.intp)] = [z for _, z in terms]
-        if not objective.any():
-            continue
+        cols, z = model.revenue_terms.get(f, _NO_TERMS)
+        if z.any():
+            stages[f] = np.zeros(model.lp.num_vars)
+            stages[f][cols] = z
+    if stages and np.array_equal(sum(stages.values()), model.lp.objective):
+        stages.popitem()
+    result = primary
+    for f, objective in stages.items():
         result = solve_lp(replace(model.lp, objective=objective), warm=result)
         if result.status != "optimal":
             raise SolveNumericalError(
@@ -263,20 +261,19 @@ def _lexicographic_revenue_tiebreak(model, primary):
 
 def _assemble_outcome(model, objective, x, matching, network):
     system = model.system
-    surplus = {od: max(0.0, float(x[col])) for od, col in model.u_index.items()}
-    prices = {key: max(0.0, float(x[col])) for key, col in model.p_index.items()}
+    x = np.where(x > 0.0, x, 0.0)  # max(0.0, v): 0.0 also for -0.0 and NaN
+    u = len(model.u_index)  # the surplus columns, then the price columns
+    surplus = dict(zip(model.u_index, x[:u].tolist()))
+    prices = dict(zip(model.p_index, x[u:].tolist()))
     subsidies = model.options.subsidies
 
     operators = {}
     for f in sorted(set(model.revenue_terms) | set(system.covers)):
-        revenue = ridership = 0.0
-        fares = []
-        for col, z in model.revenue_terms.get(f, ()):
-            p = max(0.0, float(x[col]))
-            revenue += p * z
-            ridership += z
-            if z > 0:
-                fares.append(p)
+        cols, z = model.revenue_terms.get(f, _NO_TERMS)
+        p = x[cols]
+        revenue = sum((p * z).tolist(), 0.0)  # left to right, as a loop adds
+        ridership = sum(z.tolist(), 0.0)
+        fares = p[z > 0].tolist()
         cost = subsidy = 0.0
         if matching is not None and network is not None:
             for link in network.operator_links(f):

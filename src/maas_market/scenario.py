@@ -3,10 +3,11 @@
 A scenario is a list of edits applied left to right.  Structural edits
 (capacity, costs, link add/remove, operator merges) rewrite one link map,
 copied from the network, and one network is built from it after the last
-edit; policy edits (objective modes, fixed fares, subsidies) accumulate into
-annotations consumed by the outcomes module.  Scenarios are loaded from a
-JSON document: a list of objects, each with an ``edit`` key naming the type
-and no key beyond those ``_EDITS`` lists for it.
+edit unless it still holds the network's links; policy edits (objective
+modes, fixed fares, subsidies) accumulate into annotations consumed by the
+outcomes module.  Scenarios are loaded from a JSON document: a list of
+objects, each with an ``edit`` key naming the type and no key beyond those
+``_EDITS`` lists for it.
 """
 
 from __future__ import annotations
@@ -95,13 +96,14 @@ class PolicyAnnotations:
 def apply_scenario(network: Network, demand: DemandTable,
                    scenario: Scenario) -> tuple[Network, DemandTable, PolicyAnnotations]:
     """Apply edits in order to one copy of the network's link map, then build
-    one network from it; pure, the inputs are never mutated.  Each edit
-    validates the links it changes, so the first faulty edit decides the error."""
+    one network from it unless it still holds ``network``'s links; pure.  Each
+    edit validates the links it changes, so the first faulty edit decides the error."""
     annotations = PolicyAnnotations()
     links = dict(network.by_arc)
     for edit in scenario.edits:
         _apply_edit(links, annotations, edit)
-    network = network.replace_links(links.values())
+    if links != network.by_arc:
+        network = network.replace_links(links.values())
     try:
         demand.validate_against(network)
     except ValidationError as exc:

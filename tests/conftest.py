@@ -13,6 +13,7 @@ from maas_market.matching import _flow_model
 from maas_market.outcomes import BUYER_OPTIMAL
 from maas_market.randnet import random_instance
 from maas_market.solve import Rows
+from maas_market.stability import TIE_TOL
 
 
 def pipeline_artifacts(network, demand, subsidies=None):
@@ -39,6 +40,33 @@ def core_nonempty(system):
     exactly when it is feasible."""
     model = build_outcome_lp(system, ObjectivePolicy(global_mode=BUYER_OPTIMAL))
     return solve_outcome(model, tie_break=False).status == "optimal"
+
+
+def undominated_rows(system, oracle):
+    """The rows of ``oracle`` with bound > 0 that no single row of ``system``
+    or surplus equality implies; empty when the certificate holds.
+
+    Prices and surpluses are non-negative, so a row of ``system`` in the same
+    group implies an oracle row when its terms are a subset of the oracle
+    row's and its bound is no smaller.  The surplus equality of an optimal
+    path r, u + sum of r's prices = U - travel(r), implies one whose terms
+    hold all of r's prices and whose bound is at most U - travel(r).  The
+    certificate is sufficient, not necessary: several rows together may
+    imply a row that no one of them does."""
+    rows = {}
+    for row in system.stability_rows:
+        rows.setdefault(row.group, []).append((frozenset(row.terms), row.bound))
+    missed = []
+    for row in (row for row in oracle.stability_rows if row.bound > 0):
+        terms, pset = frozenset(row.terms), oracle.groups[row.group]
+        by_row = any(subset <= terms and bound >= row.bound - TIE_TOL
+                     for subset, bound in rows.get(row.group, ()))
+        by_equality = any({(info.nodes, f) for f in info.operators} <= terms
+                          and row.bound <= pset.utility - info.travel_cost + TIE_TOL
+                          for info in pset.paths)
+        if not (by_row or by_equality):
+            missed.append(row)
+    return missed
 
 
 def rebuilt(lp, rows=None, **changes):

@@ -6,13 +6,15 @@ import pytest
 from maas_market import (DemandEntry, DemandTable, Link, Network,
                          ObjectivePolicy, OutcomeOptions, Scenario,
                          apply_scenario, build_outcome_lp, build_sioux_falls,
-                         outcomes, report, solve, solve_lp, solve_outcome)
+                         generate_constraints_algorithm1, outcomes, report,
+                         solve, solve_lp, solve_outcome)
 from maas_market.errors import SolveNumericalError
 from maas_market.outcomes import (BUYER_OPTIMAL, REVENUE_MAX, SELLER_OPTIMAL,
                                   WELFARE_MAX)
 from maas_market.scenario import SetCapacity
 from maas_market.solve import EQ
 from conftest import core_nonempty, pipeline_artifacts, rebuilt
+from test_answers import split_network, split_scenarios
 
 
 def _vertex(system, mode, options=OutcomeOptions(), **kwargs):
@@ -109,6 +111,16 @@ def _cover_flows(system):
             for od, nodes, z in terms}
 
 
+def _stage_objectives(model):
+    """Each earning operator's revenue as an objective, in ascending operator
+    id, read off the covers and the price columns."""
+    flows, stages = _cover_flows(model.system), {}
+    for (od, nodes, f), col in model.p_index.items():
+        if flows.get((od, nodes), 0.0) != 0:
+            stages.setdefault(f, np.zeros(model.lp.num_vars))[col] = flows[(od, nodes)]
+    return [stages[f] for f in sorted(stages)]
+
+
 def _cold_tiebreak(model, primary_value, x):
     """The revenue tie-break with an exact pin row on each optimum before
     and one cold solve per stage: an independent reference for the warm
@@ -177,7 +189,12 @@ def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
             earning = [f for f in model.system.covers
                        if any(g == f and flows.get((od, nodes), 0.0) != 0
                               for od, nodes, g in model.p_index)]
-            assert len(calls) == 1 + len(earning)
+            # the last stage is not run where the primary objective is the
+            # stages' sum: it cannot move the point
+            stages = _stage_objectives(model)
+            skipped = bool(stages) and np.array_equal(sum(stages), model.lp.objective)
+            assert skipped == (mode == SELLER_OPTIMAL and bool(earning))
+            assert len(calls) == 1 + len(earning) - skipped
             assert calls[0] is None and None not in calls[1:]  # stages re-solve warm
             # the last stage's point keeps the primary optimum
             assert np.dot(model.lp.objective, results[-1].x) == pytest.approx(
@@ -191,6 +208,46 @@ def test_warm_tiebreak_matches_cold(reference_instances, sioux_falls_cut,
             assert again.prices == got.prices
             solved += 1
     assert solved > 300
+
+
+def test_skipped_last_stage_would_not_move_the_point(reference_instances,
+                                                     sioux_falls_cut):
+    # run the stage that solve_outcome leaves out: it takes no simplex
+    # iteration and gives the very point of the stage before
+    network, demand = split_network()
+    matching, _, decomposition, _ = pipeline_artifacts(network, demand)
+    systems = [(n, m, s, OutcomeOptions()) for n, _, m, _, s in
+               reference_instances[:52] + [sioux_falls_cut]]  # fig5, Sioux Falls, 0..49
+    for _, scenario in split_scenarios(network):
+        edited, _, annotations = apply_scenario(network, demand, scenario)
+        systems.append((edited, matching, generate_constraints_algorithm1(
+            edited, demand, matching, decomposition, subsidies=annotations.subsidies),
+            OutcomeOptions(fixed_fare_operators=frozenset(annotations.fixed_fare_operators),
+                           subsidies=annotations.subsidies)))
+    skipped = 0
+    for network, matching, system, options in systems:
+        for policy in (ObjectivePolicy(global_mode=SELLER_OPTIMAL),
+                       ObjectivePolicy(per_operator=dict.fromkeys(system.covers,
+                                                                  REVENUE_MAX))):
+            model = build_outcome_lp(system, policy, options)
+            got = solve_outcome(model, matching=matching, network=network)
+            stages = _stage_objectives(model)
+            result = primary = solve_lp(model.lp)
+            if primary.status != "optimal" or not stages:
+                continue
+            assert np.array_equal(sum(stages), model.lp.objective)
+            for objective in stages:
+                before = result
+                result = solve_lp(replace(model.lp, objective=objective), warm=before)
+            assert result.handle.highs.getInfo().simplex_iteration_count == 0
+            np.testing.assert_array_equal(result.x, before.x)
+            want = outcomes._assemble_outcome(model, primary.objective, result.x,
+                                              matching, network)
+            assert got.prices == want.prices
+            assert ({f: m.revenue for f, m in got.operators.items()}
+                    == {f: m.revenue for f, m in want.operators.items()})
+            skipped += 1
+    assert skipped > 100
 
 
 def test_incremental_face_restriction_equals_the_full_one(reference_instances,

@@ -218,6 +218,17 @@ def test_capacity_run_errors(instance):
             _one_edit_at_a_time(network, demand, edits)
 
 
+def test_only_link_edits_build_a_new_network(instance):
+    # scenarios that replace, add or remove no link hand back the input
+    network, demand = instance
+    for edits in ((), (SetFixedFare(1, True),), (Subsidy((23, 4), 5.0),),
+                  (SetObjectivePolicy(1, "revenue_max"),)):
+        assert apply_scenario(network, demand, Scenario(edits=edits))[0] is network
+    edited = apply_scenario(network, demand,
+                            Scenario(edits=(SetCapacity((1, 21), 5000),)))[0]
+    assert edited is not network and edited != network
+
+
 def test_apply_is_pure_and_deterministic(instance):
     network, demand = instance
     scenario = Scenario(edits=(ScaleCosts(1, 0.5), Subsidy((23, 4), 10.0)))
