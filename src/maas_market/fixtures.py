@@ -46,15 +46,6 @@ def fig5() -> tuple[Network, DemandTable]:
     return network, demand
 
 
-def _owner(tail: int, head: int) -> int:
-    rail_tail, rail_head = tail >= 100, head >= 100
-    if rail_tail and rail_head:
-        return RAIL_OPERATOR
-    if not rail_tail and not rail_head:
-        return BUS_OPERATOR
-    return 0
-
-
 def build_sioux_falls(
     transfer_cost: float,
     utility: float = 40.0,
@@ -68,9 +59,11 @@ def build_sioux_falls(
     """
     if transfer_cost < 0:
         raise ValidationError("transfer_cost must be non-negative")
+    # every LINKS entry stays within one layer; transfers are TRANSFER_LINKS
     links = [
         Link(tail, head, travel_cost=cost, operating_cost=cost,
-             capacity=capacity * capacity_scale, owner=_owner(tail, head))
+             capacity=capacity * capacity_scale,
+             owner=RAIL_OPERATOR if tail >= 100 else BUS_OPERATOR)
         for tail, head, capacity, cost in LINKS
     ]
     links += [

@@ -39,6 +39,9 @@ would otherwise find and remove on each solve.  The flow LP keeps every
 row, because its duals and optimal vertex depend on them: without them
 answers changed on 4 of 303 instances (fig5, Sioux Falls at 10/3 with and
 without its 0.6x cut, ``random_instance(0..299)``).
+
+A ``MatchingSolution``'s ``memo`` field is a plain dict that ``stability``
+fills with the generation work every scenario on that matching shares.
 """
 
 from __future__ import annotations
@@ -73,32 +76,16 @@ class Path:
 
 
 @dataclass
-class Memo:
-    """A private memo for results derived from a reused object."""
-
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-    def cached(self, key, build):
-        """``build()``, called on the first request for ``key`` only; every
-        later call returns the same object."""
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = build()
-            return value
-
-
-@dataclass
-class MatchingSolution(Memo):
-    """The matching; its memo keeps stability-generation work that every
-    scenario generated on it shares (see ``stability``)."""
+class MatchingSolution:
+    """The matching; its ``memo`` field keeps stability-generation work that
+    every scenario generated on it shares (see ``stability``)."""
 
     flows: dict  # od -> {arc: passengers}
     activations: dict  # arc -> 0/1
     objective: float
     path_flows: list  # [(Path, z_r)], per OD in demand order
     duals: dict  # arc -> mu >= 0, every link; 0.0 where not operated
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def total_flow(self, arc) -> float:
         return sum(per_od.get(arc, 0.0) for per_od in self.flows.values())

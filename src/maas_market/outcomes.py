@@ -20,12 +20,12 @@ stage is not run: the stages before fix its revenue too, as the primary
 optimum less theirs.
 
 The models of one ``ConstraintSystem`` share one frame, laid out in one
-walk over its groups and kept in its cache: the surplus and price columns,
-each operator's revenue terms, and the rows that no policy or option
-changes -- the surplus equalities, the operator covers and the stability
-rows.  Each model starts from that very :class:`~maas_market.solve.Rows`
-value and adds only its fixed-fare rows and its objective.  The frame is
-read-only, as systems are.
+walk over its groups and kept under ``"outcome_frame"`` in the system's
+``memo`` dict field: the surplus and price columns, each operator's revenue
+terms, and the rows that no policy or option changes -- the surplus
+equalities, the operator covers and the stability rows.  Each model starts
+from that very :class:`~maas_market.solve.Rows` value and adds only its
+fixed-fare rows and its objective.  The frame is read-only, as systems are.
 """
 
 from __future__ import annotations
@@ -126,11 +126,12 @@ def build_outcome_lp(
 
     The models of one system share its frame: the columns, the revenue terms
     and the rows that no policy or option changes, built on the first call
-    and kept in the system's cache.  Like the system, the frame is
+    and kept in the system's ``memo``.  Like the system, the frame is
     read-only; each model adds only its fixed-fare rows and its objective.
     """
-    u_index, p_index, revenue_terms, rows = system.cached(
-        "outcome_frame", lambda: _frame(system))
+    if "outcome_frame" not in system.memo:
+        system.memo["outcome_frame"] = _frame(system)
+    u_index, p_index, revenue_terms, rows = system.memo["outcome_frame"]
     n = len(u_index) + len(p_index)
     objective, label = _objective_vector(system, policy, u_index, revenue_terms, n)
     lp = LinearProgram(num_vars=n, objective=objective, maximize=True, rows=rows)

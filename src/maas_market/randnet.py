@@ -60,11 +60,9 @@ def random_instance(seed: int) -> tuple[Network, DemandTable]:
         for od in od_pool:
             if len(entries) == num_ods:
                 break
-            try:
+            try:  # o < d, so the backbone chain is one of the paths
                 costs = [cost for cost, _ in simple_paths(succ, pred, od, PATH_CAP)]
             except PathCapExceeded:
-                continue
-            if not costs:
                 continue
             cheapest = min(costs)
             demand = round(rng.uniform(5, 50), 1)

@@ -107,7 +107,8 @@ def apply_scenario(network: Network, demand: DemandTable,
     try:
         demand.validate_against(network)
     except ValidationError as exc:
-        raise ScenarioError(f"scenario removed a demand node: {exc}") from exc
+        raise ScenarioError(
+            f"demand node in neither the network nor the scenario's links: {exc}") from exc
     # replace_links keeps nodes declared even when their last link is gone,
     # so check incidence separately
     incident = {n for l in network.links for n in l.arc}

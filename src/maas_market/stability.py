@@ -27,7 +27,7 @@ networkx serves only the tests, as a reference.
 
 Scenarios on one base equilibrium (mergers, acquisitions, fixed fares,
 subsidies, objective modes) share the part of generation that does not read
-owners, memoized on the ``MatchingSolution`` they are generated on.  The key
+owners, in the ``memo`` dict of the ``MatchingSolution`` they run on.  The key
 is the content of every other input: each link's (tail, head, travel cost,
 omega weight) in link order, ``demand.entries`` and the decomposition's
 ``path_flows``, so a cost edit or changed duals miss it and recompute.  It
@@ -49,9 +49,9 @@ and the sorted subsidies: everything the covers read beyond the owner-free
 key, operating costs included because omega leaves out those of operated
 links.  A repeated owner assignment with the same cover inputs, such as a
 fixed-fare or objective-mode scenario on the base, gets the very system
-generated before, with the outcome frame its cache holds; a subsidy scenario
-shares the rows and builds only its covers.  Systems are therefore shared
-and must be treated as read-only.
+generated before, with the outcome frame its own ``memo`` field holds; a
+subsidy scenario shares the rows and builds only its covers.  Systems are
+therefore shared and must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import (InfeasibleMatchingError, PathCapExceeded,
                      StabilityToleranceError, SubcoalitionCapExceeded)
-from .matching import MatchingSolution, Memo, Path, PathFlowSolution
+from .matching import MatchingSolution, Path, PathFlowSolution
 from .network import DUMMY_OPERATOR, DemandTable, Network
 
 TIE_TOL = 1e-6           # omega gap below which two paths are tied
@@ -110,19 +110,17 @@ class StabilityRow:
     terms: tuple[tuple[tuple[int, ...], int], ...]  # ((path nodes), operator)
     bound: float
 
-    def variables(self):
-        return (self.group, frozenset(self.terms))
-
 
 @dataclass
-class ConstraintSystem(Memo):
-    """Generation fills a system once, so what its memo derives from it
+class ConstraintSystem:
+    """Generation fills a system once, so what its ``memo`` derives from it
     stays valid.  A later generation on the same matching may return the
     same system, so it is read-only."""
 
     groups: dict                      # od -> OptimalPathSet
     covers: dict                      # operator -> (terms, rhs); terms: [(od, nodes, z_r)]
     stability_rows: list = field(default_factory=list)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def render_text(self) -> str:
         lines = []
@@ -358,8 +356,8 @@ def _owner_free_entry(network, demand, matching, decomposition) -> dict:
     links = tuple((link.tail, link.head, link.travel_cost,
                    _omega_weight(link, duals, activations))
                   for link in network.links)
-    return matching.cached((links, demand.entries,
-                            tuple(decomposition.path_flows)), dict)
+    return matching.memo.setdefault(
+        (links, demand.entries, tuple(decomposition.path_flows)), {})
 
 
 def _generate(network, demand, matching, decomposition, memo, alternatives):
@@ -418,10 +416,12 @@ def _row_order(row):
 
 
 def _dedup_rows(rows):
-    # keep the strongest bound per distinct variable set, which sorts first
+    # keep the strongest bound per distinct variable set, which sorts first;
+    # a row's terms share one anchor path and list its operators ascending,
+    # so rows over the same variables have equal term tuples
     best = {}
     for row in sorted(rows, key=_row_order):
-        best.setdefault(row.variables(), row)
+        best.setdefault((row.group, row.terms), row)
     return list(best.values())
 
 

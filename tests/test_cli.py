@@ -336,6 +336,29 @@ DEMAND_HEADER = b"origin,destination,demand,utility\n"
                  "validation", "need --network", id="bench-fixed-fare-without-network"),
     pytest.param(["run"], {"edit": ["x"]}, None, "scenario",
                  "entry 0: unknown edit type ['x']", id="list-edit-type"),
+    pytest.param(["run"], {"edit": "subsidy", "tail": 9, "head": 9, "gamma": 1}, None,
+                 "scenario", "subsidy: no link (9, 9)", id="subsidy-missing-link"),
+    pytest.param(["run"], {"edit": "add_links", "links": [
+                     {"tail": 1, "head": 3, "travel_cost": 1, "operating_cost": 1,
+                      "capacity": 10, "owner": 1}]}, None,
+                 "scenario", "add_links: link (1, 3) already exists", id="add-existing-link"),
+    pytest.param(["run"], {"edit": "set_objective_policy", "operator": 1, "mode": "greedy"},
+                 None, "scenario", "unknown objective mode 'greedy'",
+                 id="unknown-objective-mode"),
+    pytest.param(["run"], {"edit": "remove_links", "links": [[1, 3]]}, None, "scenario",
+                 "entry 0: malformed remove_links edit: [1, 3] is not an object",
+                 id="remove-links-entry-not-object"),
+    # a later edit lowers the cost below an earlier subsidy
+    pytest.param(["run", "--scenario"], None,
+                 b'[{"edit": "subsidy", "tail": 1, "head": 3, "gamma": 150}, '
+                 b'{"edit": "scale_costs", "operator": 1, "factor": 0.5}]', "scenario",
+                 "subsidy on (1, 3) exceeds its operating cost after edits",
+                 id="subsidy-above-cost-after-edits"),
+    # node 99 is in neither fig5 nor the scenario's links: nothing removed it
+    pytest.param(["run", "--demand"], {"edit": "set_fixed_fare", "operator": 1},
+                 DEMAND_HEADER + b"1,99,10,30\n", "scenario",
+                 "demand node in neither the network nor the scenario's links: "
+                 "OD (1, 99): node 99 not in network", id="demand-node-outside-network"),
     pytest.param(["run", "--scenario"], None, b'[{"edit": "set_capacity", "tail"',
                  "scenario", "scenario is not a JSON document", id="truncated-scenario"),
     pytest.param(["run", "--scenario"], None,
@@ -422,6 +445,21 @@ def test_enumerate_paths_stdout_is_csv(tmp_path, capfd):
     lines = capfd.readouterr().out.splitlines()
     assert lines[0] == "origin,destination,path,travel_cost,deviation_cost"
     assert not any("Highs" in line for line in lines)
+
+
+def test_bench_capped_enumeration_records_no_agreement(fig5_files, capsys):
+    network, demand = fig5_files
+    code = main(["bench", "--network", network, "--demand", demand, "--enum-cap", "1"])
+    assert code == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["enumeration"] == "capped"
+    assert not [key for key in record if key.endswith("_agree")]
+
+
+def test_run_pipeline_rejects_an_unknown_policy():
+    network, demand = fig5()
+    with pytest.raises(ValueError, match="unknown policy 'both'"):
+        run_pipeline(network, demand, PolicyAnnotations(), policies=("both",))
 
 
 def test_bench_fixed_fare_reaches_outcomes(tmp_path, capsys):

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from maas_market import (Link, Scenario, apply_scenario, build_sioux_falls,
-                         fig5, load_scenario)
+from maas_market import (DemandEntry, DemandTable, Link, Scenario, apply_scenario,
+                         build_sioux_falls, fig5, load_scenario)
 from maas_market.errors import ScenarioError, ValidationError
 from maas_market.scenario import (_EDITS, AddLinks, MergeOperators, RemoveLinks,
                                   ScaleCosts, ScaleTravel, SetCapacity,
@@ -86,6 +86,18 @@ def test_remove_demand_node_rejected(instance):
         apply_scenario(network, demand, Scenario(edits=(RemoveLinks(arcs),)))
 
 
+def test_added_link_brings_a_new_demand_node_in(instance):
+    # firm entry at a node the input network lacks
+    network, demand = instance
+    far = DemandTable(entries=(*demand.entries, DemandEntry(1, 99, 10, 30)))
+    entry = Link(4, 99, travel_cost=1, operating_cost=1, capacity=10, owner=7)
+    net2, dem2, _ = apply_scenario(network, far, Scenario(edits=(AddLinks((entry,)),)))
+    assert 99 in net2.nodes and net2.by_arc[(4, 99)] == entry and dem2 is far
+    with pytest.raises(ScenarioError, match="node 99 not in network") as info:
+        apply_scenario(network, far, Scenario(edits=(SetFixedFare(1, True),)))
+    assert "removed" not in str(info.value)
+
+
 def test_merge_operators(instance):
     network, demand = instance
     scenario = Scenario(edits=(SetFixedFare(3, True),
@@ -97,6 +109,16 @@ def test_merge_operators(instance):
     with pytest.raises(ScenarioError):
         apply_scenario(network, demand,
                        Scenario(edits=(MergeOperators((0, 1), 1),)))
+    # a new target takes the sources' mode and fixed fare
+    scenario = Scenario(edits=(SetObjectivePolicy(2, "welfare_max"), SetFixedFare(3, True),
+                               MergeOperators((2, 3), 7)))
+    _, _, ann = apply_scenario(network, demand, scenario)
+    assert ann.objective_modes == {7: "welfare_max"}
+    assert ann.fixed_fare_operators == {7}
+    # a target with its own mode keeps it
+    scenario = Scenario(edits=(SetObjectivePolicy(2, "welfare_max"),
+                               SetObjectivePolicy(1, "revenue_max"), MergeOperators((2,), 1)))
+    assert apply_scenario(network, demand, scenario)[2].objective_modes == {1: "revenue_max"}
 
 
 def test_policy_edits(instance):
@@ -262,6 +284,9 @@ def test_load_scenario_rejects_unknown():
         load_scenario(io.StringIO(json.dumps([{"edit": "nuke"}])))
     with pytest.raises(ScenarioError):
         load_scenario(io.StringIO(json.dumps({"edit": "set_capacity"})))
+    network, demand = fig5()
+    with pytest.raises(ScenarioError, match="unknown edit 'x'"):
+        apply_scenario(network, demand, Scenario(edits=("x",)))
 
 
 NEW_LINK = {"tail": 3, "head": 4, "travel_cost": 1, "operating_cost": 2,

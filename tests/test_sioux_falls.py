@@ -41,6 +41,12 @@ def test_ownership_rule():
             assert link.owner == 0
 
 
+def test_service_links_stay_within_one_layer():
+    # build_sioux_falls owns a LINKS entry by its tail's layer; every link
+    # between the layers is a platform transfer from TRANSFER_LINKS
+    assert all((tail >= 100) == (head >= 100) for tail, head, _, _ in LINKS)
+
+
 def test_rail_link_count_matches_data():
     network, _ = build_sioux_falls(transfer_cost=0.0)
     expected = sum(1 for t, h, _, _ in LINKS if t >= 100 and h >= 100)

@@ -685,11 +685,13 @@ def test_bundled_passes_one_highs_model(monkeypatch):
 
 
 def test_milp_infeasible_status():
-    lp = LinearProgram(num_vars=1, objective=[1.0])
-    lp.add_row([(0, 1.0)], GE, 0.5)
-    lp.add_row([(0, 1.0)], LE, 0.4)
-    mip = MixedIntegerProgram(lp=lp, binary_vars=frozenset({0}))
-    assert solve_milp(mip).status == "infeasible"
+    # an infeasible relaxation, then a feasible one with no integral point
+    for low, high in ((0.5, 0.4), (0.4, 0.6)):
+        lp = LinearProgram(num_vars=1, objective=[1.0])
+        lp.add_row([(0, 1.0)], GE, low)
+        lp.add_row([(0, 1.0)], LE, high)
+        mip = MixedIntegerProgram(lp=lp, binary_vars=frozenset({0}))
+        assert solve_milp(mip).status == "infeasible"
 
 
 def test_instance_3313_solves_in_a_fresh_process():

@@ -19,7 +19,7 @@ from maas_market import (DemandEntry, DemandTable, Link, Network,
                          subcoalitions)
 from maas_market import stability
 from maas_market.errors import (InfeasibleMatchingError, PathCapExceeded,
-                                SubcoalitionCapExceeded)
+                                StabilityToleranceError, SubcoalitionCapExceeded)
 from maas_market.network import DUMMY_OPERATOR
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import random_instance
@@ -263,6 +263,23 @@ def test_tie_cap_counts_tied_paths_only(monkeypatch):
     network, demand, activations, decomposition = _parallel_paths(5)
     with pytest.raises(PathCapExceeded, match="more than 4 tied"):
         optimal_path_sets(network, demand, {}, activations, decomposition)
+
+
+def test_flow_path_above_the_minimum_raises_tolerance_error(fig5_instance, fig5_pipeline):
+    # mu(1, 21) + 1 puts the flow-carrying (1, 21, 23, 4) at 11 against (1, 4)'s 10
+    network, demand = fig5_instance
+    matching, duals, decomposition, _ = fig5_pipeline
+    raised = {**duals, (1, 21): duals[(1, 21)] + 1}
+    message = r"\(1, 21, 23, 4\) for OD \(1, 4\) has deviation cost 11.0, above the minimum 10.0"
+    with pytest.raises(StabilityToleranceError, match=message):
+        optimal_path_sets(network, demand, raised, matching.activations, decomposition)
+
+
+def test_unreachable_od_has_no_simple_paths(fig5_instance, fig5_pipeline):
+    network, _ = fig5_instance
+    matching, duals = fig5_pipeline[0], fig5_pipeline[1]
+    succ = _omega_arcs(network, duals, matching.activations)
+    assert list(simple_paths(succ, _predecessors(succ), (3, 1), 20)) == []
 
 
 def test_unroutable_od_raises_infeasible_matching():
