@@ -19,15 +19,15 @@ from maas_market import (CoopCompeteInstance, DemandEntry, DemandTable, Link,
                          generate_constraints_enumeration, lemma1_lower_bound,
                          lemma2_upper_bound, solve_matching, solve_outcome)
 from maas_market.fixtures import BUS_OPERATOR, RAIL_OPERATOR
-from maas_market.matching import flow_lp
 from maas_market.outcomes import BUYER_OPTIMAL, SELLER_OPTIMAL
 from maas_market.randnet import BIG, random_instance
-from maas_market.solve import solve_lp
-from conftest import core_nonempty, flows_for, pipeline_artifacts
+from conftest import (acquisition, buyer_seller_ordering,
+                      complementary_slackness, conservation_and_capacity,
+                      decomposition_completeness, merge_all,
+                      pipeline_artifacts, strong_duality, subsidy,
+                      transfer_identity, uniform_cost_scaling, vertex)
 
 DATA_DIR = Path(__file__).parent / "data"
-
-CORPUS_SEEDS = list(range(12))
 
 
 def _gate(label, ok, detail=""):
@@ -51,12 +51,8 @@ def golden():
     network, demand = fig5()
     start = time.perf_counter()
     matching, duals, decomposition, system = pipeline_artifacts(network, demand)
-    buyer = solve_outcome(
-        build_outcome_lp(system, ObjectivePolicy(global_mode=BUYER_OPTIMAL)),
-        matching=matching, network=network)
-    seller = solve_outcome(
-        build_outcome_lp(system, ObjectivePolicy(global_mode=SELLER_OPTIMAL)),
-        matching=matching, network=network)
+    buyer = vertex(system, BUYER_OPTIMAL, matching=matching, network=network)
+    seller = vertex(system, SELLER_OPTIMAL, matching=matching, network=network)
     elapsed = time.perf_counter() - start
     return dict(network=network, demand=demand, matching=matching,
                 duals=duals, decomposition=decomposition, system=system,
@@ -140,9 +136,7 @@ def _equivalence_check(network, demand, seed):
     for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
         vals = []
         for system in (system1, system2):
-            out = solve_outcome(
-                build_outcome_lp(system, ObjectivePolicy(global_mode=mode)),
-                tie_break=False)
+            out = vertex(system, mode, tie_break=False)
             vals.append(out.objective if out.status == "optimal" else None)
         a, b = vals
         if (a is None) != (b is None):
@@ -386,10 +380,8 @@ def sioux_falls():
                                              decomposition)
     options = OutcomeOptions(
         fixed_fare_operators=frozenset({RAIL_OPERATOR}))
-    outcome = solve_outcome(
-        build_outcome_lp(system, ObjectivePolicy(global_mode=SELLER_OPTIMAL),
-                         options),
-        matching=matching, network=network)
+    outcome = vertex(system, SELLER_OPTIMAL, options, matching=matching,
+                     network=network)
     elapsed = time.perf_counter() - start
     return dict(network=network, demand=demand, matching=matching,
                 system=system, outcome=outcome, elapsed=elapsed)
@@ -427,10 +419,9 @@ def test_criterion4_rail_fare(sioux_falls):
 
 
 def test_criterion4_buyer_vertex(sioux_falls):
-    buyer = solve_outcome(
-        build_outcome_lp(sioux_falls["system"],
-                         ObjectivePolicy(global_mode=BUYER_OPTIMAL)),
-        matching=sioux_falls["matching"], network=sioux_falls["network"])
+    buyer = vertex(sioux_falls["system"], BUYER_OPTIMAL,
+                   matching=sioux_falls["matching"],
+                   network=sioux_falls["network"])
     _gate("criterion 4: the buyer-optimal vertex solves",
           buyer.status == "optimal",
           f"status {buyer.status}, objective {buyer.objective}")
@@ -473,17 +464,8 @@ def test_criterion4_runtime(sioux_falls):
 
 
 # ---------------------------------------------------------------------------
-# criteria 5 and 6 share the seeded random-instance corpus
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    instances = []
-    for seed in CORPUS_SEEDS:
-        network, demand = random_instance(seed)
-        instances.append((seed, network, demand,
-                          pipeline_artifacts(network, demand)))
-    return instances
+# criteria 5 and 6 run the equilibrium checks of conftest on its corpus,
+# random_instance(0..11)
 
 
 def _gate_over_corpus(label, corpus, check):
@@ -516,25 +498,11 @@ def _gate_over_seeds(label, check, needed=10, seed_cap=100):
           f"(scanned {seed}), failures={failures}")
 
 
-def test_criterion5_acquisition():
+def test_criterion5_acquisition(corpus):
     def check(seed, network, demand):
-        _, _, _, system = pipeline_artifacts(network, demand)
-        if len(system.covers) < 2:
-            return None
-        seller = solve_outcome(build_outcome_lp(
-            system, ObjectivePolicy(global_mode=SELLER_OPTIMAL)))
-        if seller.status != "optimal":
-            return None
-        acquired = sorted(system.covers)[-1]
-        modes = {f: "revenue_max" for f in system.covers}
-        modes[acquired] = "welfare_max"
-        out = solve_outcome(build_outcome_lp(
-            system, ObjectivePolicy(per_operator=modes)))
-        if out.status != "optimal":
-            return f"acquisition vertex {out.status}"
-        gap = out.operators[acquired].revenue \
-            - seller.operators[acquired].revenue
-        return True if gap <= 1e-6 else f"revenue rose by {gap}"
+        artifacts = (corpus[seed][3] if seed < len(corpus)
+                     else pipeline_artifacts(network, demand))
+        return acquisition(seed, network, demand, artifacts)
 
     _gate_over_seeds(
         "criterion 5a: acquisition never raises the acquired operator's "
@@ -580,169 +548,27 @@ def test_criterion5_capacity_dual():
 
 
 def test_criterion5_subsidy(corpus):
-    def check(seed, network, demand, artifacts):
-        matching, _, decomposition, system = artifacts
-        buyer = solve_outcome(build_outcome_lp(
-            system, ObjectivePolicy(global_mode=BUYER_OPTIMAL)),
-            tie_break=False)
-        if buyer.status != "optimal":
-            return None
-        operated = [l for l in network.links
-                    if matching.activations[l.arc] and l.operating_cost > 0
-                    and l.owner != 0]
-        if not operated:
-            return None
-        subsidies = {operated[0].arc: operated[0].operating_cost * 0.5}
-        bigger = generate_constraints_algorithm1(
-            network, demand, matching, decomposition, subsidies=subsidies)
-        for f, (terms, rhs) in bigger.covers.items():
-            lhs = sum(z * buyer.prices[(od, nodes, f)]
-                      for od, nodes, z in terms)
-            if lhs < rhs - 1e-6:
-                return f"cover {f} violated"
-        for row in bigger.stability_rows:
-            lhs = buyer.surplus[row.group] + sum(
-                buyer.prices[(row.group, nodes, f)] for nodes, f in row.terms)
-            if lhs < row.bound - 1e-6:
-                return f"stability row for {row.group} violated"
-        return True if core_nonempty(bigger) else "core emptied"
-
     _gate_over_corpus(
         "criterion 5c: a subsidy keeps every stable point stable",
-        corpus, check)
+        corpus, subsidy)
 
 
 def test_criterion5_merge(corpus):
-    def check(seed, network, demand, artifacts):
-        _, _, _, system = artifacts
-        if not core_nonempty(system):
-            return None
-        merged = Network(
-            nodes=network.nodes,
-            links=tuple(Link(l.tail, l.head, l.travel_cost, l.operating_cost,
-                             l.capacity, 1 if l.owner != 0 else 0)
-                        for l in network.links))
-        _, _, _, merged_system = pipeline_artifacts(merged, demand)
-        return True if core_nonempty(merged_system) \
-            else "merged core empty"
-
     _gate_over_corpus(
         "criterion 5d: merging all operators preserves the nonempty core",
-        corpus, check)
+        corpus, merge_all)
 
 
 def test_criterion6_invariants(corpus):
     start = time.perf_counter()
-
-    def conservation(seed, network, demand, artifacts):
-        matching = artifacts[0]
-        for entry in demand.entries:
-            per_od = matching.flows.get(entry.od, {})
-            for node in network.nodes:
-                balance = (sum(v for (t, _), v in per_od.items() if t == node)
-                           - sum(v for (_, h), v in per_od.items()
-                                 if h == node))
-                expected = (entry.demand if node == entry.origin else
-                            -entry.demand if node == entry.destination
-                            else 0.0)
-                if abs(balance - expected) > 1e-5:
-                    return f"node {node} od {entry.od}"
-        for link in network.links:
-            total = matching.total_flow(link.arc)
-            if total > link.capacity * matching.activations[link.arc] + 1e-6:
-                return f"capacity {link.arc}"
-        return True
-
-    def complementary_slackness(seed, network, demand, artifacts):
-        matching, duals = artifacts[0], artifacts[1]
-        for link in network.links:
-            if duals[link.arc] > 1e-6:
-                slack = link.capacity - matching.total_flow(link.arc)
-                if abs(slack) > 1e-5 + 1e-6 * link.capacity:
-                    return f"{link.arc} dual without saturation"
-        return True
-
-    def decomposition_complete(seed, network, demand, artifacts):
-        matching, decomposition = artifacts[0], artifacts[2]
-        for entry in demand.entries:
-            flows = flows_for(decomposition, entry.od)
-            if abs(sum(z for _, z in flows) - entry.demand) > 1e-5:
-                return f"total for {entry.od}"
-            rebuilt = {}
-            for path, z in flows:
-                for arc in path.arcs:
-                    rebuilt[arc] = rebuilt.get(arc, 0.0) + z
-            for arc, v in matching.flows.get(entry.od, {}).items():
-                if abs(rebuilt.get(arc, 0.0) - v) > 1e-5:
-                    return f"arc {arc} for {entry.od}"
-        return True
-
-    def strong_duality(seed, network, demand, artifacts):
-        matching = artifacts[0]
-        lp, _, _, _ = flow_lp(network, demand, matching.activations)
-        res = solve_lp(lp)
-        if res.status != "optimal":
-            return res.status
-        dual_obj = sum(dual * row.rhs
-                       for dual, row in zip(res.duals, lp.rows))
-        gap = abs(dual_obj - res.objective)
-        return True if gap <= 1e-6 * max(1.0, abs(res.objective)) \
-            else f"gap {gap}"
-
-    def transfer_identity(seed, network, demand, artifacts):
-        system = artifacts[3]
-        for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
-            out = solve_outcome(build_outcome_lp(
-                system, ObjectivePolicy(global_mode=mode)))
-            if out.status != "optimal":
-                continue
-            for od, pset in system.groups.items():
-                for info in pset.paths:
-                    total = out.surplus[od] + sum(
-                        out.prices[(od, info.nodes, f)]
-                        for f in info.operators)
-                    if abs(total - (pset.utility - info.travel_cost)) > 1e-9:
-                        return f"{mode} path {info.nodes}"
-        return True
-
-    def buyer_seller_ordering(seed, network, demand, artifacts):
-        system = artifacts[3]
-        buyer = solve_outcome(build_outcome_lp(
-            system, ObjectivePolicy(global_mode=BUYER_OPTIMAL)))
-        seller = solve_outcome(build_outcome_lp(
-            system, ObjectivePolicy(global_mode=SELLER_OPTIMAL)))
-        if buyer.status != "optimal":
-            return True if seller.status != "optimal" else "status mismatch"
-        if buyer.consumer_surplus < seller.consumer_surplus - 1e-6:
-            return "surplus ordering"
-        if (sum(m.revenue for m in seller.operators.values())
-                < sum(m.revenue for m in buyer.operators.values()) - 1e-6):
-            return "revenue ordering"
-        return True
-
-    def lambda_scaling(seed, network, demand, artifacts):
-        matching = artifacts[0]
-        lam = 1.7
-        scaled = Network(
-            nodes=network.nodes,
-            links=tuple(Link(l.tail, l.head, l.travel_cost * lam,
-                             l.operating_cost * lam, l.capacity, l.owner)
-                        for l in network.links))
-        other = solve_matching(scaled, demand)
-        if abs(other.objective - lam * matching.objective) \
-                > 1e-8 * max(1.0, abs(matching.objective)):
-            return "objective"
-        return True if other.activations == matching.activations \
-            else "activations"
-
     invariants = [
-        ("conservation and capacity", conservation),
+        ("conservation and capacity", conservation_and_capacity),
         ("complementary slackness", complementary_slackness),
-        ("decomposition completeness", decomposition_complete),
+        ("decomposition completeness", decomposition_completeness),
         ("strong duality of the fixed-activation LP", strong_duality),
         ("per-path transfer identity", transfer_identity),
         ("buyer/seller vertex ordering", buyer_seller_ordering),
-        ("uniform cost scaling", lambda_scaling),
+        ("uniform cost scaling", uniform_cost_scaling),
     ]
     for label, check in invariants:
         _gate_over_corpus(f"criterion 6: {label}", corpus, check)

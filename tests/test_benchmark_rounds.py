@@ -1,10 +1,10 @@
-"""One round of two benchmark workloads runs without a failed operation and
+"""One round of each benchmark workload runs without a failed operation and
 passes the benchmark's own answer checks, so that a library change which
 breaks the benchmark's calls or answers fails here.
 
-``random-corpus`` is left out: its check runs the enumeration oracle and an
-independent MILP on 101 instances.  ``operator-sweep`` reuses a matching's
-memo entries across its scenarios.
+``random-corpus``'s check runs the enumeration oracle and an independent
+MILP on its 101 instances; with one round that takes about a second.
+``operator-sweep`` reuses a matching's memo entries across its scenarios.
 """
 
 import sys
@@ -19,7 +19,8 @@ import worker  # noqa: E402
 from spans import NullTracer  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["sioux-falls", "operator-sweep"])
+@pytest.mark.parametrize("name", ["sioux-falls", "random-corpus",
+                                  "operator-sweep"])
 def test_one_round_runs_and_checks(tmp_path, name):
     workload = worker.WORKLOADS[name](0, tmp_path)
     ops, unit_ms = worker.Ops(), []

@@ -13,13 +13,9 @@ from maas_market.outcomes import (BUYER_OPTIMAL, REVENUE_MAX, SELLER_OPTIMAL,
                                   WELFARE_MAX)
 from maas_market.scenario import SetCapacity
 from maas_market.solve import EQ
-from conftest import core_nonempty, pipeline_artifacts, rebuilt
+from conftest import (buyer_seller_ordering, core_nonempty, pipeline_artifacts,
+                      rebuilt, transfer_identity, vertex)
 from test_answers import split_network, split_scenarios
-
-
-def _vertex(system, mode, options=OutcomeOptions(), **kwargs):
-    model = build_outcome_lp(system, ObjectivePolicy(global_mode=mode), options)
-    return solve_outcome(model, **kwargs)
 
 
 def test_fig5_buyer_objective_terms(fig5_pipeline):
@@ -43,7 +39,7 @@ def test_fig5_seller_objective_terms(fig5_pipeline):
 def test_fig5_buyer_vertex(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, system = fig5_pipeline[0], fig5_pipeline[3]
-    out = _vertex(system, BUYER_OPTIMAL, matching=matching, network=network)
+    out = vertex(system, BUYER_OPTIMAL, matching=matching, network=network)
     assert out.status == "optimal"
     assert out.surplus[(1, 3)] == pytest.approx(13.0, abs=0.01)
     assert out.surplus[(1, 4)] == pytest.approx(28 / 3, abs=0.01)
@@ -57,7 +53,7 @@ def test_fig5_buyer_vertex(fig5_instance, fig5_pipeline):
 def test_fig5_seller_vertex(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, system = fig5_pipeline[0], fig5_pipeline[3]
-    out = _vertex(system, SELLER_OPTIMAL, matching=matching, network=network)
+    out = vertex(system, SELLER_OPTIMAL, matching=matching, network=network)
     assert out.surplus[(1, 3)] == pytest.approx(0.0, abs=1e-6)
     assert out.surplus[(1, 4)] == pytest.approx(0.0, abs=1e-6)
     assert out.operators[1].revenue == pytest.approx(15600, abs=1e-6)
@@ -76,8 +72,8 @@ def test_fig5_seller_subsidy_income(fig5_instance):
     subsidies = {(1, 3): 100.0}
     matching, _, _, system = pipeline_artifacts(network, demand,
                                                 subsidies=subsidies)
-    out = _vertex(system, SELLER_OPTIMAL, OutcomeOptions(subsidies=subsidies),
-                  matching=matching, network=network)
+    out = vertex(system, SELLER_OPTIMAL, OutcomeOptions(subsidies=subsidies),
+                 matching=matching, network=network)
     m = out.operators[1]
     assert m.subsidy == pytest.approx(100.0, abs=1e-6)
     assert m.profit == pytest.approx(15300.0, abs=1e-6)
@@ -290,7 +286,7 @@ def test_incremental_face_restriction_equals_the_full_one(reference_instances,
     for network, _, matching, _, system in reference_instances[:2]:  # fig5, Sioux Falls
         for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
             row_changes.clear()
-            assert _vertex(system, mode, matching=matching, network=network).status == "optimal"
+            assert vertex(system, mode, matching=matching, network=network).status == "optimal"
             assert len(row_changes) == len(set(row_changes)), mode
     assert len(stages) >= 8 and sum(stages) > 0
 
@@ -318,31 +314,17 @@ def test_split_network_rail_acquisition_vertex():
         assert out.operators[f].revenue == pytest.approx(revenue, rel=1e-7), f
 
 
-def test_buyer_seller_ordering(fig5_pipeline):
-    system = fig5_pipeline[3]
-    buyer = _vertex(system, BUYER_OPTIMAL)
-    seller = _vertex(system, SELLER_OPTIMAL)
-    assert buyer.consumer_surplus >= seller.consumer_surplus - 1e-6
-    buyer_rev = sum(m.revenue for m in buyer.operators.values())
-    seller_rev = sum(m.revenue for m in seller.operators.values())
-    assert seller_rev >= buyer_rev - 1e-6
+def test_buyer_seller_ordering(fig5_instance, fig5_pipeline):
+    assert buyer_seller_ordering("fig5", *fig5_instance, fig5_pipeline) is True
 
 
-def test_transfer_identity(fig5_pipeline):
-    system = fig5_pipeline[3]
-    for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
-        out = _vertex(system, mode)
-        for od, pset in system.groups.items():
-            for info in pset.paths:
-                total = out.surplus[od] + sum(
-                    out.prices[(od, info.nodes, f)] for f in info.operators)
-                assert total == pytest.approx(pset.utility - info.travel_cost,
-                                              abs=1e-9)
+def test_transfer_identity(fig5_instance, fig5_pipeline):
+    assert transfer_identity("fig5", *fig5_instance, fig5_pipeline) is True
 
 
 def test_all_rows_satisfied(fig5_pipeline):
     system = fig5_pipeline[3]
-    out = _vertex(system, SELLER_OPTIMAL)
+    out = vertex(system, SELLER_OPTIMAL)
     for f, (terms, rhs) in system.covers.items():
         lhs = sum(z * out.prices[(od, nodes, f)] for od, nodes, z in terms)
         assert lhs >= rhs - 1e-6
@@ -362,7 +344,7 @@ def test_empty_core_low_utility():
     demand = DemandTable(entries=(DemandEntry(1, 2, 5, 1.0),))
     _, _, _, system = pipeline_artifacts(network, demand)
     assert not core_nonempty(system)
-    out = _vertex(system, BUYER_OPTIMAL)
+    out = vertex(system, BUYER_OPTIMAL)
     assert out.status == "empty_core"
 
 
@@ -378,7 +360,7 @@ def test_empty_core_cover_exceeds_surplus():
 def test_fixed_fare_ties_prices(fig5_pipeline):
     system = fig5_pipeline[3]
     options = OutcomeOptions(fixed_fare_operators=frozenset({1}))
-    out = _vertex(system, SELLER_OPTIMAL, options=options)
+    out = vertex(system, SELLER_OPTIMAL, options=options)
     p1 = out.prices[((1, 3), (1, 3), 1)]
     p2 = out.prices[((1, 4), (1, 21, 23, 4), 1)]
     assert p1 == pytest.approx(p2, abs=1e-9)
@@ -421,7 +403,7 @@ def test_policy_objects_reject_the_platform_operator():
 def test_avg_fare_identity(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, system = fig5_pipeline[0], fig5_pipeline[3]
-    out = _vertex(system, SELLER_OPTIMAL, matching=matching, network=network)
+    out = vertex(system, SELLER_OPTIMAL, matching=matching, network=network)
     for m in out.operators.values():
         if m.ridership > 0:
             assert m.avg_fare * m.ridership == pytest.approx(m.revenue,
@@ -442,8 +424,8 @@ def test_uniform_scaling_scales_vertex(fig5_instance):
     _, _, _, base = pipeline_artifacts(network, demand)
     _, _, _, scaled = pipeline_artifacts(scaled_net, scaled_dem)
     for mode in (BUYER_OPTIMAL, SELLER_OPTIMAL):
-        out1 = _vertex(base, mode)
-        out2 = _vertex(scaled, mode)
+        out1 = vertex(base, mode)
+        out2 = vertex(scaled, mode)
         for od, u in out1.surplus.items():
             assert out2.surplus[od] == pytest.approx(lam * u, abs=1e-6)
         for key, p in out1.prices.items():
@@ -453,7 +435,7 @@ def test_uniform_scaling_scales_vertex(fig5_instance):
 def test_report_document(fig5_instance, fig5_pipeline):
     network, _ = fig5_instance
     matching, system = fig5_pipeline[0], fig5_pipeline[3]
-    out = _vertex(system, BUYER_OPTIMAL, matching=matching, network=network)
+    out = vertex(system, BUYER_OPTIMAL, matching=matching, network=network)
     doc = report(out, matching)
     assert doc["status"] == "optimal"
     assert doc["matching_objective"] == pytest.approx(12000)
